@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet ssrvet race crash replication fuzz-smoke bench-json bench-shards bench-drift bench-plan bench-screen bench-replica check
+.PHONY: all build test vet ssrvet race crash replication fuzz-smoke perfbench-smoke bench-json bench-shards bench-drift bench-plan bench-screen bench-replica check
 
 all: check
 
@@ -59,6 +59,18 @@ fuzz-smoke:
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzReplay -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/replica/ -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZTIME)
 	$(GO) test . -run '^$$' -fuzz FuzzLoad -fuzztime $(FUZZTIME)
+
+# A short run of the repository benchmark (BENCHMARK.json) on each of its
+# workloads, with per-layer tracing off and on. perfbench/ is its own Go
+# module, so `go build ./...` never compiles it; this target does, through
+# perfbench/run.sh. The benchmark re-checks every answer and exits 1 on a
+# wrong one, so any failure here is a build break or a wrong answer.
+perfbench-smoke:
+	for w in paper-ranges narrow-sharded; do \
+		for t in 0 1; do \
+			bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 --trace $$t || exit 1; \
+		done; \
+	done
 
 # The parallel-pipeline benchmark report (build speedup, batched query
 # latency, recall, simulated I/O, screening saving) as one JSON document.

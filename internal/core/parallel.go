@@ -173,13 +173,10 @@ func signCollection(emb *embed.Embedder, sets []set.Set, workers int) []minhash.
 	return sigs
 }
 
-// populateFilters inserts every signature into every filter index, one
-// goroutine per index (bounded by workers). Indices are independent
-// structures drawing pages from their own pagers, and each goroutine
-// inserts sids in ascending order — the same per-index insertion sequence
-// as the serial build, so bucket chains come out identical.
+// populateFilters inserts every signature into every filter index (see
+// eachFilter for the fan-out and its determinism argument).
 func populateFilters(emb *embed.Embedder, sigs []minhash.Signature, fis []*filter.Index, workers int) {
-	populate := func(f *filter.Index) {
+	eachFilter(fis, workers, func(f *filter.Index) {
 		// One reusable BitSource view per goroutine: swapping the signature
 		// in place avoids an interface allocation per (index, sid) pair.
 		src := &embed.SigBits{E: emb}
@@ -190,7 +187,15 @@ func populateFilters(emb *embed.Embedder, sigs []minhash.Signature, fis []*filte
 			src.Sig = sig
 			f.Insert(src, storage.SID(sid))
 		}
-	}
+	})
+}
+
+// eachFilter runs populate on every filter index, one goroutine per index
+// (bounded by workers). Indices are independent structures drawing pages
+// from their own pagers, and populate inserts sids in ascending order —
+// the same per-index insertion sequence as the serial build, so bucket
+// chains come out identical for every worker count.
+func eachFilter(fis []*filter.Index, workers int, populate func(f *filter.Index)) {
 	if workers <= 1 || len(fis) <= 1 {
 		for _, f := range fis {
 			populate(f)
@@ -237,7 +242,7 @@ func packCollection(fam minhash.Family, full []minhash.Signature, sets []set.Set
 // family can reproduce the embedding bits from storage (Recoverable) — the
 // packed-signature load path that avoids re-signing the collection.
 func populateFiltersPacked(emb *embed.Embedder, fam minhash.Family, sigs []minhash.Signature, fis []*filter.Index, workers int) {
-	populate := func(f *filter.Index) {
+	eachFilter(fis, workers, func(f *filter.Index) {
 		src := &embed.PackedSigBits{E: emb, Fam: fam}
 		for sid, sig := range sigs {
 			if sig == nil {
@@ -246,25 +251,7 @@ func populateFiltersPacked(emb *embed.Embedder, fam minhash.Family, sigs []minha
 			src.Words = sig
 			f.Insert(src, storage.SID(sid))
 		}
-	}
-	if workers <= 1 || len(fis) <= 1 {
-		for _, f := range fis {
-			populate(f)
-		}
-		return
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for _, f := range fis {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(f *filter.Index) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			populate(f)
-		}(f)
-	}
-	wg.Wait()
+	})
 }
 
 // queryScratch holds the reusable per-query buffers pooled on the index:

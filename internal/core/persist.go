@@ -60,6 +60,12 @@ type snapshot struct {
 	PageSize       int
 	PayloadPerElem int
 	DistSeed       int64
+	// DisableBTree and CountLocatorIO are retired build options. They stay
+	// in the struct because gob writes field names into the stream's type
+	// descriptor, so dropping them would change every snapshot's bytes.
+	// Save writes both as false. Load accepts either DisableBTree value
+	// (every index resolves sids from the store's in-memory directory) and
+	// rejects CountLocatorIO, whose sid-lookup I/O charge no longer exists.
 	DisableBTree   bool
 	CountLocatorIO bool
 	// Plan is installed verbatim (the optimizer is not re-run).
@@ -97,8 +103,6 @@ func (ix *Index) Save(w io.Writer) error {
 		PageSize:       ix.buildOpts.PageSize,
 		PayloadPerElem: ix.buildOpts.PayloadPerElem,
 		DistSeed:       ix.buildOpts.DistSeed,
-		DisableBTree:   ix.buildOpts.DisableBTree,
-		CountLocatorIO: ix.buildOpts.CountLocatorIO,
 		Plan:           ix.plan,
 		NumSIDs:        len(ix.sigs),
 	}
@@ -214,6 +218,9 @@ func (snap *snapshot) validate(sigWords int) error {
 	if snap.PageSize < 0 || snap.PayloadPerElem < 0 {
 		return fmt.Errorf("core: snapshot has negative storage parameters")
 	}
+	if snap.CountLocatorIO {
+		return fmt.Errorf("core: snapshot sets CountLocatorIO, whose sid-lookup I/O accounting is no longer supported")
+	}
 	// An empty snapshot (no sets, no allocated sids) is legal: a shard of a
 	// partitioned engine can be empty at save time. Zero-value garbage is
 	// still rejected by the EmbedK bound above.
@@ -303,8 +310,6 @@ func Load(r io.Reader) (*Index, error) {
 		PageSize:       snap.PageSize,
 		PayloadPerElem: snap.PayloadPerElem,
 		DistSeed:       snap.DistSeed,
-		DisableBTree:   snap.DisableBTree,
-		CountLocatorIO: snap.CountLocatorIO,
 	}
 	plan := snap.Plan
 	opt.PlanOverride = &plan

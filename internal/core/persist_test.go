@@ -236,3 +236,55 @@ func TestLoadRejectsBadSnapshots(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadRetiredLocatorFields pins how the two retired snapshot fields
+// load: Save writes both as false, DisableBTree is accepted either way, and
+// CountLocatorIO=true is refused with an error naming the field.
+func TestLoadRetiredLocatorFields(t *testing.T) {
+	ix, sets := buildSmall(t, 200, 30)
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var saved snapshot
+	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes()[len(snapshotMagic):])).Decode(&saved); err != nil {
+		t.Fatal(err)
+	}
+	if saved.DisableBTree || saved.CountLocatorIO {
+		t.Fatalf("Save wrote DisableBTree=%v CountLocatorIO=%v, want both false", saved.DisableBTree, saved.CountLocatorIO)
+	}
+	reencode := func(mutate func(*snapshot)) *bytes.Buffer {
+		snap := saved
+		mutate(&snap)
+		var out bytes.Buffer
+		out.WriteString(snapshotMagic)
+		if err := gob.NewEncoder(&out).Encode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		return &out
+	}
+	loaded, err := Load(reencode(func(s *snapshot) { s.DisableBTree = true }))
+	if err != nil {
+		t.Fatalf("DisableBTree=true snapshot: %v", err)
+	}
+	want, _, err := ix.Query(sets[0], 0.3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := loaded.Query(sets[0], 0.3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("DisableBTree=true snapshot answers %d matches, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("DisableBTree=true snapshot: match %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	_, err = Load(reencode(func(s *snapshot) { s.CountLocatorIO = true }))
+	if err == nil || !strings.Contains(err.Error(), "CountLocatorIO") {
+		t.Fatalf("CountLocatorIO=true snapshot: err = %v, want an error naming CountLocatorIO", err)
+	}
+}

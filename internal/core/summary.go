@@ -20,9 +20,9 @@
 //     is empty and the shard is skipped. Hash collisions in the fixed-size
 //     refcount array only inflate occupancy — they can suppress a skip,
 //     never cause one, so collisions cost performance, not correctness.
-//     (The emptiness test assumes exact-key probe semantics, which is what
-//     core builds; under hashtable.WholeBucket a probe could return
-//     entries whose key differs from the probe key.)
+//     (The emptiness test relies on exact-key probe semantics: a probe
+//     returns only entries whose key equals the probe key, never others
+//     that merely share its bucket.)
 //
 //  2. Set-size histogram. Exact Jaccard obeys J(q,s) <= min(|q|,|s|) /
 //     max(|q|,|s|), so a refcounted histogram of live set sizes (log2

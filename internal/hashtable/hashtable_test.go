@@ -41,19 +41,9 @@ func TestProbeMissingKey(t *testing.T) {
 	tab := newTable(t, Options{ExpectedEntries: 10})
 	tab.Insert(5, 50)
 	if got := tab.Probe(999999, nil, nil); len(got) != 0 {
-		// A different key can share a bucket only in WholeBucket mode.
-		t.Errorf("ExactKey probe of absent key returned %v", got)
-	}
-}
-
-func TestWholeBucketMode(t *testing.T) {
-	// Force a single bucket so everything shares it.
-	tab := newTable(t, Options{Buckets: 1, Mode: WholeBucket})
-	tab.Insert(1, 10)
-	tab.Insert(2, 20)
-	got := tab.Probe(3, nil, nil)
-	if len(got) != 2 {
-		t.Errorf("WholeBucket probe = %v, want both sids", got)
+		// Probes match keys exactly, so an absent key returns nothing even
+		// when other keys share its bucket.
+		t.Errorf("probe of absent key returned %v", got)
 	}
 }
 

@@ -5,7 +5,6 @@
 //
 // Endpoints (all JSON):
 //
-//	GET  /healthz              → {"status":"ok","sets":N}
 //	GET  /livez                → liveness: the process answers
 //	GET  /readyz               → readiness: role, plan generation, and —
 //	                             on followers — replication lag; 503
@@ -140,7 +139,6 @@ func NewWithConfig(ix *ssr.Index, cfg Config) *Server {
 	if cfg.Replication != nil {
 		s.mux.Handle("/replica/", cfg.Replication)
 	}
-	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/plan", s.handlePlan)
 	s.mux.HandleFunc("/stats", s.handleStats)
 	s.mux.HandleFunc("/query", s.handleQuery)
@@ -201,14 +199,6 @@ func decodeBody(r *http.Request, dst any) error {
 		return fmt.Errorf("bad request body: %w", err)
 	}
 	return nil
-}
-
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "sets": s.index().Internal().Len()})
 }
 
 // handleLive is pure liveness: the process answers, full stop. Restart

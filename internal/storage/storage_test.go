@@ -205,52 +205,6 @@ func TestAvgPagesPerSet(t *testing.T) {
 	}
 }
 
-// locatorStub returns fixed locations to test the locator path.
-type locatorStub struct {
-	off    uint64
-	length uint32
-	calls  int
-}
-
-func (l *locatorStub) Locate(sid SID, io *Counter) (uint64, uint32, error) {
-	l.calls++
-	if io != nil {
-		io.RecordRand(1)
-	}
-	return l.off, l.length, nil
-}
-
-func TestSetStoreLocator(t *testing.T) {
-	st := NewSetStore(0)
-	sid := st.Append(set.New(4, 5, 6))
-	off, length, _ := st.Location(sid)
-	stub := &locatorStub{off: off, length: length}
-	st.SetLocator(stub)
-	var io Counter
-	got, err := st.Fetch(sid, &io)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(set.New(4, 5, 6)) {
-		t.Error("locator-path fetch returned wrong set")
-	}
-	if stub.calls != 1 {
-		t.Errorf("locator called %d times", stub.calls)
-	}
-	if io.Rand() != 2 { // 1 locator + 1 first data page
-		t.Errorf("rand reads = %d, want 2", io.Rand())
-	}
-}
-
-func TestSetStoreLocatorBoundsChecked(t *testing.T) {
-	st := NewSetStore(0)
-	st.Append(set.New(1))
-	st.SetLocator(&locatorStub{off: 1 << 30, length: 10})
-	if _, err := st.Fetch(0, nil); err == nil {
-		t.Error("out-of-bounds locator result accepted")
-	}
-}
-
 func TestSetEncodingRoundTripProperty(t *testing.T) {
 	f := func(raw []uint32, shift uint8) bool {
 		elems := make([]set.Elem, len(raw))
