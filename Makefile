@@ -28,11 +28,11 @@ ssrvet:
 
 # The concurrency suites under the race detector (the mixed read/write
 # stress tests in internal/core, internal/engine, and the public shard
-# layer only mean something with -race on). CI runs the full tree; this
+# and planner layers only mean something with -race on). CI runs the full tree; this
 # is the fast local loop.
 race:
 	$(GO) test -race ./internal/core/ ./internal/engine/ ./internal/server/ ./internal/wal/ ./internal/recovery/ ./internal/tuner/
-	$(GO) test -race -run 'TestShardedMixedStress|TestManualRetune|TestAutoTune' .
+	$(GO) test -race -run 'TestShardedMixedStress|TestManualRetune|TestAutoTune|TestPlannerConcurrentStress' .
 
 # The durability stack: WAL torn-tail/bit-flip sweeps, chained-checkpoint
 # recovery, and the crash-injection harness — all under -race.

@@ -101,7 +101,7 @@ var suite = []scopedAnalyzer{
 		// The packages participating in the documented lock hierarchy:
 		// durable.go and Collection at the root, the engine's shard and
 		// mapping locks, the core index lock, the drift tracker, and the
-		// planner's cache mutexes (outside everything).
+		// planner's result-cache mutex (outside everything).
 		return path == "repro" || prefixScope(
 			"repro/internal/engine",
 			"repro/internal/core",

@@ -74,20 +74,18 @@ type Config struct {
 }
 
 // Repo returns the repository's documented hierarchy (the engine package
-// comment and DESIGN.md): plan-cache mutexes strictly outside everything
-// (cache lookups run with no engine or core lock held, and no other lock
-// is ever taken under a cache mutex), then tune mutex → durable shard
-// lane → engine shard → sid mapping → core index, with the drift tracker
-// and the public collection lock as leaves.
+// comment and DESIGN.md): the planner's result-cache mutex strictly
+// outside everything (cache lookups run with no engine or core lock held,
+// and no other lock is ever taken under it), then tune mutex → durable
+// shard lane → engine shard → sid mapping → core index, with the drift
+// tracker and the public collection lock as leaves.
 func Repo() Config {
 	return Config{
 		Levels: []Level{
 			{Name: "plan-cache", Mutexes: []string{
 				"repro/internal/plan.ResultCache.mu",
-				"repro/internal/plan.PlanCache.mu",
 			}, Types: []string{
 				"repro/internal/plan.ResultCache",
-				"repro/internal/plan.PlanCache",
 			}},
 			{Name: "tune", Mutexes: []string{
 				"repro/internal/engine.Engine.tmu",

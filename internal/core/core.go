@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/embed"
@@ -183,6 +184,12 @@ type Index struct {
 	// scratch pools per-query buffers (query signature, probe vectors,
 	// merge outputs) so steady-state queries allocate only their results.
 	scratch sync.Pool
+	// capture holds the plan's tabulated capture curves per enclosure and
+	// histogram resolution (see CaptureFraction): an immutable map,
+	// replaced copy-on-write. Entries are pure functions of the immutable
+	// plan, so a racing first fill stores identical values and readers
+	// need no lock.
+	capture atomic.Pointer[map[captureKey][]float64]
 	// buildOpts records how the index was built, for snapshots. The Embed
 	// options stored are the resolved ones (defaults applied).
 	buildOpts Options

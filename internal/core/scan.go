@@ -20,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"repro/internal/embed"
@@ -253,13 +254,23 @@ func (ix *Index) ScreenPresigned(q set.Set, sig minhash.Signature, s1, s2 float6
 	return matches, stats, nil
 }
 
+// captureKey names one tabulated capture curve: the enclosing partition
+// points and the histogram resolution it is sampled at.
+type captureKey struct {
+	lo, hi float64
+	bins   int
+}
+
 // CaptureFraction returns the Lemma 1 capture estimate for the range
 // [lo, hi] as a fraction of the collection: the modeled capture integral
 // of the enclosing filter combination over hist, normalized by hist's
 // total mass. A nil hist falls back to the build-time distribution; ok is
-// false when no usable distribution exists. Reads only state immutable
-// after Build (plan, cuts) plus the caller's histogram, so no lock is
-// taken — the engine calls it with the tuner's live sketch.
+// false when no usable distribution exists. The capture curve depends
+// only on the enclosure and the bin midpoints, never on the bin weights,
+// so it is tabulated once per (enclosure, resolution) and each call is a
+// weighted sum bit-identical to hist.Integrate(0, 1, CaptureAt). Reads
+// only state immutable after Build plus the caller's histogram, so no
+// lock is taken — the engine calls it with the tuner's live sketch.
 func (ix *Index) CaptureFraction(hist *simdist.Histogram, lo, hi float64) (float64, bool) {
 	if hist == nil {
 		hist = ix.hist
@@ -268,17 +279,99 @@ func (ix *Index) CaptureFraction(hist *simdist.Histogram, lo, hi float64) (float
 		return 0, false
 	}
 	elo, ehi := ix.enclose(lo, hi)
-	captured := hist.Integrate(0, 1, func(s float64) float64 {
-		return ix.plan.CaptureAt(elo, ehi, s)
+	return hist.IntegrateTable(ix.captureCurve(captureKey{lo: elo, hi: ehi, bins: hist.Bins()})) / hist.Total(), true
+}
+
+// captureCurve returns the plan's capture probabilities at the key's bin
+// midpoints, tabulating them on first use. A miss publishes a copy of
+// the table map with the new curve; if another first fill wins the race,
+// the loop retries against its map.
+func (ix *Index) captureCurve(key captureKey) []float64 {
+	cur := ix.capture.Load()
+	if cur != nil {
+		if vals, ok := (*cur)[key]; ok {
+			return vals
+		}
+	}
+	vals := simdist.Tabulate(key.bins, func(s float64) float64 {
+		return ix.plan.CaptureAt(key.lo, key.hi, s)
 	})
-	return captured / hist.Total(), true
+	for {
+		next := map[captureKey][]float64{key: vals}
+		if cur != nil {
+			if won, ok := (*cur)[key]; ok {
+				return won
+			}
+			maps.Copy(next, *cur)
+		}
+		if ix.capture.CompareAndSwap(cur, &next) {
+			return vals
+		}
+		cur = ix.capture.Load()
+	}
 }
 
 // ProbeTables returns the number of hash tables a query with the given
-// range probes under the Section 4.3 case analysis (each probe is one
-// random bucket-page read in the cost model). Plan state is immutable
-// after Build, so no lock is taken.
-func (ix *Index) ProbeTables(lo, hi float64) int { return ix.touchedTables(lo, hi) }
+// range probes under the Section 4.3 case analysis: the l values of the
+// filter indices its combination consults (each probe is one random
+// bucket-page read in the cost model). Plan state is immutable after
+// Build, so no lock is taken.
+func (ix *Index) ProbeTables(lo, hi float64) int {
+	elo, ehi := ix.enclose(lo, hi)
+	total := 0
+	if f, ok := ix.dfis[ehi]; ok {
+		total += f.Tables()
+		if g, ok := ix.dfis[elo]; ok && elo > 0 {
+			total += g.Tables()
+		}
+		return total
+	}
+	if f, ok := ix.sfis[elo]; ok {
+		total += f.Tables()
+		if g, ok := ix.sfis[ehi]; ok && ehi < 1 {
+			total += g.Tables()
+		}
+		return total
+	}
+	if dp, ok := ix.bothKindsPoint(); ok {
+		total += ix.dfis[dp].Tables() + ix.sfis[dp].Tables()
+		if g, ok := ix.dfis[elo]; ok && elo > 0 {
+			total += g.Tables()
+		}
+		if g, ok := ix.sfis[ehi]; ok && ehi < 1 {
+			total += g.Tables()
+		}
+	}
+	return total
+}
+
+// ExactScan answers the range query (q, [lo, hi]) by reading every live
+// set sequentially and computing its exact Jaccard similarity: the scan
+// side of the Section 6 index-vs-scan rule, with no filter and so no
+// false negatives. FetchIO charges the sequential heap read and
+// Candidates counts the sets examined.
+func (ix *Index) ExactScan(q set.Set, lo, hi float64) ([]Match, QueryStats, error) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	var stats QueryStats
+	start := time.Now()
+	var matches []Match
+	err := ix.store.Scan(&stats.FetchIO, func(sid storage.SID, s set.Set) bool {
+		stats.Candidates++
+		sim := q.Jaccard(s)
+		if sim >= lo && sim <= hi {
+			matches = append(matches, Match{SID: sid, Similarity: sim})
+		}
+		return true
+	})
+	if err != nil {
+		return nil, stats, err
+	}
+	sortMatches(matches)
+	stats.Results = len(matches)
+	stats.CPU = time.Since(start)
+	return matches, stats, nil
+}
 
 // ScanCostInputs returns the shard's live set count, sequential heap page
 // count, and average pages per set — the per-shard inputs of the planner's

@@ -37,15 +37,16 @@
 // lock (gmu) → core index lock. The collection lock of the public layer
 // is a leaf: it never wraps an engine call. The drift tracker's internal
 // mutex is likewise a leaf under the engine shard mutex. The planner's
-// cache mutexes (internal/plan) sit OUTSIDE — above — this entire chain:
-// cache lookups and stores happen while holding no engine or core lock,
-// and no engine code may touch a cache with any chain lock held.
+// result-cache mutex (internal/plan) sits OUTSIDE — above — this entire
+// chain: cache lookups and stores happen while holding no engine or core
+// lock, and no engine code may touch the cache with any chain lock held.
 // Invalidation is lazy (generation + mutation-counter tokens checked at
-// lookup), so mutation and retune paths never call into the caches at
-// all.
+// lookup), so mutation and retune paths never call into the cache at
+// all. The core's capture-curve table takes no lock.
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -651,16 +652,19 @@ func (e *Engine) IndexPages() int {
 	return n
 }
 
+// errNoDistribution reports that no similarity distribution exists to
+// estimate or price from (a plan-override build or a freshly loaded
+// snapshot).
+var errNoDistribution = errors.New("core: index has no similarity distribution (built with a plan override)")
+
 // EstimateAnswerSize predicts the expected result count of a range query
-// from the global distribution and the global collection size — the
-// Section 5 identity, shard-count invariant.
+// from the view's distribution and the live collection size:
+// E_a(σ1, σ2) = (2/|S|)·∫ D_S (the Section 5 identity), invariant under
+// the shard count.
 func (e *Engine) EstimateAnswerSize(lo, hi float64) (float64, error) {
 	v := e.loadView()
-	if e.single {
-		return v.cores[0].EstimateAnswerSize(lo, hi)
-	}
 	if v.hist == nil {
-		return 0, fmt.Errorf("core: index has no similarity distribution (built with a plan override)")
+		return 0, errNoDistribution
 	}
 	if v.hist.Total() == 0 {
 		return 0, nil

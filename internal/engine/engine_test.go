@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/embed"
 	"repro/internal/optimize"
+	"repro/internal/plan"
 	"repro/internal/set"
 	"repro/internal/storage"
 	"repro/internal/workload"
@@ -650,24 +651,19 @@ func TestTopKAcrossShards(t *testing.T) {
 	}
 }
 
-// TestRouteAndAutoQuery checks the aggregate router and the per-shard
-// auto path against the plain index path.
+// TestRouteAndAutoQuery checks the priced auto path against the plain
+// index path.
 func TestRouteAndAutoQuery(t *testing.T) {
 	e, sets := buildFixture(t, 300, 3)
-	m := storage.DefaultCostModel()
-	rp, err := e.RouteQuery(0.8, 1.0, m)
-	if err != nil {
-		t.Fatalf("route: %v", err)
-	}
-	if rp.IndexCost <= 0 || rp.ScanCost <= 0 {
-		t.Fatalf("degenerate route costs: %+v", rp)
-	}
-	matches, path, _, err := e.QueryAuto(sets[0], 0.8, 1.0, m)
+	matches, dec, _, err := e.QueryAuto(sets[0], 0.8, 1.0)
 	if err != nil {
 		t.Fatalf("auto: %v", err)
 	}
-	if path != "index" && path != "scan" && path != "mixed" {
-		t.Fatalf("unknown path %q", path)
+	if dec.Costs.FIProbe <= 0 || dec.Costs.DirectScan <= 0 {
+		t.Fatalf("degenerate route costs: %+v", dec.Costs)
+	}
+	if dec.Kind != plan.FIProbe && dec.Kind != plan.DirectScan && dec.Kind != plan.Mixed {
+		t.Fatalf("unknown path %v", dec.Kind)
 	}
 	plain, _, err := e.Query(sets[0], 0.8, 1.0)
 	if err != nil {
@@ -676,12 +672,8 @@ func TestRouteAndAutoQuery(t *testing.T) {
 	// Index-path auto answers equal the plain query exactly; scan or mixed
 	// paths return supersets (exact scan has no false negatives), so only
 	// containment is checked.
-	plainKeys := make(map[string]bool)
-	for _, k := range matchKeys(plain) {
-		plainKeys[k] = true
-	}
 	got := matchKeys(matches)
-	if path == "index" {
+	if dec.Kind == plan.FIProbe {
 		if fmt.Sprint(got) != fmt.Sprint(matchKeys(plain)) {
 			t.Fatalf("index-path auto diverged from plain query")
 		}
@@ -694,7 +686,7 @@ func TestRouteAndAutoQuery(t *testing.T) {
 				}
 			}
 			if !found {
-				t.Fatalf("auto path %q lost match %s", path, k)
+				t.Fatalf("auto path %v lost match %s", dec.Kind, k)
 			}
 		}
 	}
@@ -707,13 +699,14 @@ func TestRouteAndAutoQuery(t *testing.T) {
 }
 
 // TestEstimatesShardInvariant: the Section 5 answer-size estimate comes
-// from the global distribution and must not move with the shard count.
+// from the global distribution and the live collection size, and must not
+// move with the shard count — before or after deletions.
 func TestEstimatesShardInvariant(t *testing.T) {
 	sets, err := workload.Generate(workload.Set1Params(300))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var base float64
+	var base, baseDeleted float64
 	for i, shards := range []int{1, 4} {
 		e, err := Build(sets, Options{Shards: shards, RouterSeed: 7, Core: coreOptions()})
 		if err != nil {
@@ -723,10 +716,53 @@ func TestEstimatesShardInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		for g := uint32(0); g < 100; g++ {
+			if err := e.Delete(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		estDeleted, err := e.EstimateAnswerSize(0.7, 1.0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if i == 0 {
-			base = est
-		} else if diff := est - base; diff > 1e-9 || diff < -1e-9 {
+			base, baseDeleted = est, estDeleted
+			continue
+		}
+		if diff := est - base; diff > 1e-9 || diff < -1e-9 {
 			t.Fatalf("estimate moved with shard count: %g vs %g", est, base)
+		}
+		if diff := estDeleted - baseDeleted; diff > 1e-9 || diff < -1e-9 {
+			t.Fatalf("estimate after deletions moved with shard count: %g vs %g", estDeleted, baseDeleted)
+		}
+	}
+}
+
+func TestEstimateAnswerSizeTracksTruth(t *testing.T) {
+	e, sets := buildFixture(t, 600, 1)
+	for _, r := range [][2]float64{{0, 0.1}, {0.1, 0.3}, {0.5, 1}} {
+		est, err := e.EstimateAnswerSize(r[0], r[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		// True average answer size over a sample of queries.
+		trueAvg := 0.0
+		const probes = 40
+		for q := 0; q < probes; q++ {
+			cnt := 0
+			for _, s := range sets {
+				sim := sets[q*7%len(sets)].Jaccard(s)
+				if sim >= r[0] && sim <= r[1] {
+					cnt++
+				}
+			}
+			trueAvg += float64(cnt)
+		}
+		trueAvg /= probes
+		// The estimate is distribution-based; demand the right order of
+		// magnitude (factor 3 + small absolute slack).
+		if est > 3*trueAvg+20 || trueAvg > 3*est+20 {
+			t.Errorf("range %v: estimate %.1f vs measured %.1f", r, est, trueAvg)
 		}
 	}
 }

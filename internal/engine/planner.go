@@ -8,10 +8,10 @@
 //     stale rather than the served results (conservative, never wrong).
 //  2. Probe the result cache. A hit returns the cached matches before any
 //     scatter scratch is pooled and before any shard lock is touched.
-//  3. Probe the plan cache (bucketed range → Decision, tolerant of
-//     bounded mutation drift within a generation), else price the three
-//     plans from the live D_S sketch (the tuner's, when tuning is on),
-//     the Lemma 1 capture fraction, and the storage cost model.
+//  3. Price the three plans from the live D_S sketch (the tuner's, when
+//     tuning is on), the Lemma 1 capture fraction — a weighted sum over
+//     the core's tabulated capture curve, cheap enough to run per query —
+//     and the storage cost model.
 //  4. Execute the decision through the ordinary scatter, with per-shard
 //     executor overrides (probe / scan / screen), and store exact results
 //     back into the result cache.
@@ -19,9 +19,9 @@
 // Exact plans (fi-probe, direct-scan, and everything the result cache
 // serves) are byte-identical to the default pipeline; the approximate
 // screen-only plan is dispatched only under QueryOptions.AllowApproximate
-// and is never cached. Lock order: both caches lock strictly outside the
-// engine chain — every cache call in this file runs while holding no
-// other lock (see the package comment in engine.go).
+// and is never cached. Lock order: the result cache locks strictly
+// outside the engine chain — every cache call in this file runs while
+// holding no other lock (see the package comment in engine.go).
 package engine
 
 import (
@@ -48,21 +48,11 @@ const maxCacheElems = 4096
 const maxCacheMatches = 4096
 
 // PlannerPolicy configures EnablePlanner. The zero value selects the
-// defaults noted per field; negative cache sizes disable that cache.
+// defaults noted per field.
 type PlannerPolicy struct {
 	// ResultCacheEntries sizes the query-result cache (0 = 1024,
 	// negative = no result cache).
 	ResultCacheEntries int
-	// PlanCacheEntries sizes the plan-decision cache (0 = 256, negative =
-	// no plan cache).
-	PlanCacheEntries int
-	// MutationTolerance is the total mutation drift a cached plan
-	// DECISION survives within one generation (0 = 1024). Result-cache
-	// entries never tolerate drift — any mutation invalidates them.
-	MutationTolerance uint64
-	// ScreenWidthFactor overrides the screen-only width gate
-	// (0 = plan.DefaultScreenWidthFactor).
-	ScreenWidthFactor float64
 	// ForcePlan pins every query to one plan, bypassing cost comparison:
 	// "fi-probe", "direct-scan", or "screen-only" (the latter still
 	// requires AllowApproximate, else it degrades to fi-probe). Empty
@@ -71,11 +61,10 @@ type PlannerPolicy struct {
 }
 
 // plannerState is the atomically-swapped planner configuration: policy
-// plus caches, replaced wholesale by EnablePlanner/DisablePlanner.
+// plus result cache, replaced wholesale by EnablePlanner/DisablePlanner.
 type plannerState struct {
 	policy  PlannerPolicy
 	results *plan.ResultCache
-	plans   *plan.PlanCache
 }
 
 // EnablePlanner turns on cost-based planning with the given policy.
@@ -84,23 +73,15 @@ func (e *Engine) EnablePlanner(p PlannerPolicy) {
 	if p.ResultCacheEntries == 0 {
 		p.ResultCacheEntries = 1024
 	}
-	if p.PlanCacheEntries == 0 {
-		p.PlanCacheEntries = 256
-	}
-	if p.MutationTolerance == 0 {
-		p.MutationTolerance = 1024
-	}
 	st := &plannerState{policy: p}
 	if p.ResultCacheEntries > 0 {
 		st.results = plan.NewResultCache(p.ResultCacheEntries)
 	}
-	if p.PlanCacheEntries > 0 {
-		st.plans = plan.NewPlanCache(p.PlanCacheEntries)
-	}
 	e.planner.Store(st)
 }
 
-// DisablePlanner restores the default pipeline and drops both caches.
+// DisablePlanner restores the default pipeline and drops the result
+// cache.
 func (e *Engine) DisablePlanner() { e.planner.Store(nil) }
 
 // PlannerEnabled reports whether cost-based planning is active.
@@ -158,7 +139,7 @@ func (e *Engine) queryPlanned(ps *plannerState, q set.Set, s1, s2 float64, opt c
 			return hit.Matches, cachedStats(v.gen, hit), nil
 		}
 	}
-	dec := e.decidePlan(ps, v, tok, s1, s2, opt)
+	dec := e.decidePlan(ps, v, s1, s2, opt)
 	m, st, err := e.queryScatter(v, &dec, q, s1, s2, opt)
 	st.Plan = dec.Kind.String()
 	if cacheable && ps.results != nil {
@@ -172,9 +153,9 @@ func (e *Engine) queryPlanned(ps *plannerState, q set.Set, s1, s2 float64, opt c
 	return m, st, err
 }
 
-// decidePlan resolves the Decision for one (range, options) pair: forced
-// plan, plan-cache hit, or a fresh cost comparison (stored back).
-func (e *Engine) decidePlan(ps *plannerState, v *planView, tok plan.Token, s1, s2 float64, opt core.QueryOptions) plan.Decision {
+// decidePlan resolves the Decision for one (range, options) pair: the
+// forced plan, else a fresh cost comparison.
+func (e *Engine) decidePlan(ps *plannerState, v *planView, s1, s2 float64, opt core.QueryOptions) plan.Decision {
 	switch ps.policy.ForcePlan {
 	case "fi-probe":
 		return plan.Decision{Kind: plan.FIProbe}
@@ -190,28 +171,18 @@ func (e *Engine) decidePlan(ps *plannerState, v *planView, tok plan.Token, s1, s
 		}
 		return plan.Decision{Kind: plan.FIProbe}
 	}
-	var flags uint64
-	if opt.AllowApproximate {
-		flags |= 1
-	}
-	key := plan.MakePlanKey(s1, s2, flags)
-	if ps.plans != nil {
-		if dec, ok := ps.plans.Get(key, tok, ps.policy.MutationTolerance); ok {
-			return dec
-		}
-	}
-	dec := e.computeDecision(v, s1, s2, opt, ps.policy.ScreenWidthFactor)
-	if ps.plans != nil {
-		ps.plans.Put(key, tok, dec)
-	}
+	// Without a distribution the decision is already plain fi-probe, the
+	// default pipeline, so the planner has nothing to report.
+	dec, _ := e.computeDecision(v, s1, s2, opt)
 	return dec
 }
 
 // computeDecision assembles the cost inputs — live D_S (the tuner's
 // sketch when tuning is on and non-empty, else the generation's build
 // histogram), Lemma 1 capture at the enclosed range, per-shard heap
-// geometry — and prices the plans.
-func (e *Engine) computeDecision(v *planView, s1, s2 float64, opt core.QueryOptions, widthFactor float64) plan.Decision {
+// geometry — and prices the plans. ok is false when no distribution
+// exists to price from; the decision is then plain fi-probe.
+func (e *Engine) computeDecision(v *planView, s1, s2 float64, opt core.QueryOptions) (plan.Decision, bool) {
 	c0 := v.cores[0]
 	hist := v.hist
 	if tr := e.tracker.Load(); tr != nil {
@@ -231,7 +202,7 @@ func (e *Engine) computeDecision(v *planView, s1, s2 float64, opt core.QueryOpti
 	if totalLive > 1 {
 		// The capture integral predicts the captured fraction of pairs;
 		// for one query against N live sets that is frac·(N−1) candidates
-		// (the Section 5 identity, as in core.EstimateCandidates).
+		// (the Section 5 identity).
 		pred = frac * float64(totalLive-1)
 	}
 	return plan.Decide(plan.Inputs{
@@ -244,12 +215,11 @@ func (e *Engine) computeDecision(v *planView, s1, s2 float64, opt core.QueryOpti
 		// The family's half-width, not the raw Chernoff bound: wider for
 		// b-bit packed signatures (debiasing), tighter for SuperMinHash —
 		// so the screen-only gate tracks the estimator actually answering.
-		Eps95:             c0.Eps95(),
-		SigBytesPerSet:    c0.SignatureBytesPerSet(),
-		PageBytes:         c0.BuildOptions().PageSize,
-		ScreenWidthFactor: widthFactor,
-		AllowApproximate:  opt.AllowApproximate,
-	})
+		Eps95:            c0.Eps95(),
+		SigBytesPerSet:   c0.SignatureBytesPerSet(),
+		PageBytes:        c0.BuildOptions().PageSize,
+		AllowApproximate: opt.AllowApproximate,
+	}), ok
 }
 
 // kindFor resolves the executor for shard si under a decision (nil =
@@ -306,7 +276,7 @@ func (e *Engine) queryBatchPlanned(ps *plannerState, queries []core.BatchQuery, 
 				continue
 			}
 		}
-		p := pending{i: i, dec: e.decidePlan(ps, v, tok, q.Lo, q.Hi, opt), key: key, cacheable: cacheable}
+		p := pending{i: i, dec: e.decidePlan(ps, v, q.Lo, q.Hi, opt), key: key, cacheable: cacheable}
 		if p.dec.Kind == plan.FIProbe {
 			fiQueries = append(fiQueries, q)
 			fiMeta = append(fiMeta, p)

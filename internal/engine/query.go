@@ -450,60 +450,45 @@ func (e *Engine) TopK(q set.Set, k int) ([]core.Match, QueryStats, error) {
 	return all, agg, nil
 }
 
-// RouteQuery models both access paths over the whole engine: per-shard
-// routing sums into one plan, and the route is decided on the summed
-// costs (each shard would be probed — or scanned — in full either way).
-func (e *Engine) RouteQuery(lo, hi float64, m storage.CostModel) (core.RoutePlan, error) {
+// QueryAuto prices the range [lo, hi] once with the planner's exact plans
+// and runs each shard on the access path the decision picks — the
+// Section 6 index-vs-scan rule: the filter pipeline on FIProbe shards, an
+// exact sequential heap scan (no false negatives) on DirectScan shards.
+// Every shard runs; summary pruning does not apply, since the scan path
+// answers beyond filter candidacy. It errors when no similarity
+// distribution exists to price from, as for a freshly loaded snapshot.
+func (e *Engine) QueryAuto(q set.Set, lo, hi float64) ([]core.Match, plan.Decision, QueryStats, error) {
 	v := e.loadView()
-	if e.single {
-		return v.cores[0].RouteQuery(lo, hi, m)
+	dec, ok := e.computeDecision(v, lo, hi, core.QueryOptions{})
+	if !ok {
+		return nil, dec, QueryStats{PlanGeneration: v.gen}, errNoDistribution
 	}
-	var rp core.RoutePlan
-	for _, ix := range v.cores {
-		p, err := ix.RouteQuery(lo, hi, m)
-		if err != nil {
-			return core.RoutePlan{}, err
+	sig := v.cores[0].Embedder().Sign(q)
+	run := func(si int) ([]core.Match, core.QueryStats, error) {
+		if kindFor(&dec, si) == plan.DirectScan {
+			return v.cores[si].ExactScan(q, lo, hi)
 		}
-		rp.PredictedCandidates += p.PredictedCandidates
-		rp.IndexCost += p.IndexCost
-		rp.ScanCost += p.ScanCost
+		return v.cores[si].QueryPresigned(q, sig, lo, hi, core.QueryOptions{})
 	}
-	if rp.IndexCost <= rp.ScanCost {
-		rp.Route = core.RouteIndex
-	} else {
-		rp.Route = core.RouteScan
-	}
-	return rp, nil
-}
-
-// QueryAuto runs each shard on whichever access path that shard's router
-// predicts to be cheaper and gathers the union. The returned path is
-// "index" or "scan" when every shard agreed, "mixed" otherwise — shard
-// partitions can legitimately disagree near the crossover.
-func (e *Engine) QueryAuto(q set.Set, lo, hi float64, m storage.CostModel) ([]core.Match, string, QueryStats, error) {
-	v := e.loadView()
 	if e.single {
-		matches, route, st, err := v.cores[0].QueryAuto(q, lo, hi, m)
-		return matches, route.String(), QueryStats{QueryStats: st, PlanGeneration: v.gen, ShardsQueried: 1, PerShard: []core.QueryStats{st}}, err
+		m, st, err := run(0)
+		return m, dec, QueryStats{QueryStats: st, PlanGeneration: v.gen, ShardsQueried: 1, PerShard: []core.QueryStats{st}}, err
 	}
 	n := len(e.shards)
 	per := make([]core.QueryStats, n)
 	matches := make([][]core.Match, n)
-	routes := make([]core.Route, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for si := range e.shards {
 		wg.Add(1)
 		go func(si int) {
 			defer wg.Done()
-			sh := e.shards[si]
-			mm, route, st, err := v.cores[si].QueryAuto(q, lo, hi, m)
+			m, st, err := run(si)
 			if err != nil {
 				errs[si] = err
 				return
 			}
-			matches[si] = toGlobalMatches(mm, sh.mapping())
-			routes[si] = route
+			matches[si] = toGlobalMatches(m, e.shards[si].mapping())
 			per[si] = st
 		}(si)
 	}
@@ -513,15 +498,8 @@ func (e *Engine) QueryAuto(q set.Set, lo, hi float64, m storage.CostModel) ([]co
 	agg.ShardsQueried = n
 	for _, err := range errs {
 		if err != nil {
-			return nil, "", agg, err
+			return nil, dec, agg, err
 		}
 	}
-	path := routes[0].String()
-	for _, r := range routes[1:] {
-		if r != routes[0] {
-			path = "mixed"
-			break
-		}
-	}
-	return gather(matches), path, agg, nil
+	return gather(matches), dec, agg, nil
 }

@@ -1,18 +1,18 @@
-// Generation-invalidated caches for the query planner.
+// Generation-invalidated query-result cache for the query planner.
 //
-// Both caches validate entries lazily with a Token captured when the entry
-// was created: the engine's plan generation plus a snapshot of every
-// shard's mutation counter. Retunes and hot-swaps bump the generation;
-// every insert/delete bumps its shard's counter — so a stale entry is
-// detected (and evicted) at lookup time, with no invalidation hook on any
-// mutation path and therefore no cache lock ever taken while an engine or
-// core lock is held. The token is snapshotted BEFORE the query executes:
-// if a mutation lands mid-query the results may include it but the token
-// will not, so a later lookup (which sees the newer counter) misses —
+// Entries are validated lazily with a Token captured when the entry was
+// created: the engine's plan generation plus a snapshot of every shard's
+// mutation counter. Retunes and hot-swaps bump the generation; every
+// insert/delete bumps its shard's counter — so a stale entry is detected
+// (and evicted) at lookup time, with no invalidation hook on any mutation
+// path and therefore no cache lock ever taken while an engine or core
+// lock is held. The token is snapshotted BEFORE the query executes: if a
+// mutation lands mid-query the results may include it but the token will
+// not, so a later lookup (which sees the newer counter) misses —
 // conservative, never stale.
 //
-// Lock order: ResultCache.mu and PlanCache.mu sit outside (above) the
-// engine's lock chain; see the package comment in plan.go.
+// Lock order: ResultCache.mu sits outside (above) the engine's lock
+// chain; see the package comment in plan.go.
 package plan
 
 import (
@@ -42,24 +42,6 @@ func (t Token) equal(o Token) bool {
 		}
 	}
 	return true
-}
-
-// drift returns the total mutation distance between two tokens of the same
-// generation, and ok=false when the tokens are incomparable (different
-// generation or shard count) — incomparable always invalidates.
-func (t Token) drift(o Token) (uint64, bool) {
-	if t.Gen != o.Gen || len(t.Muts) != len(o.Muts) {
-		return 0, false
-	}
-	var d uint64
-	for i, m := range t.Muts {
-		if m > o.Muts[i] {
-			d += m - o.Muts[i]
-		} else {
-			d += o.Muts[i] - m
-		}
-	}
-	return d, true
 }
 
 // fnvOffset and fnvPrime are the FNV-1a 64-bit constants.
@@ -218,130 +200,6 @@ func (c *ResultCache) Put(key ResultKey, tok Token, val CachedResult) {
 
 // Len returns the number of live entries (for tests).
 func (c *ResultCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}
-
-// planBuckets is the plan-key range resolution: ranges are bucketed to
-// 1/64, coarse enough that repeated similar queries share a plan, fine
-// enough that selectivity within a bucket is comparable.
-const planBuckets = 64
-
-// PlanKey identifies a plan-cache slot: the bucketed range plus the
-// answer-shaping option bits.
-type PlanKey struct {
-	LoBucket, HiBucket uint16
-	Flags              uint64
-}
-
-// MakePlanKey buckets the range [lo, hi] (clamped to [0, 1]) to 1/64.
-func MakePlanKey(lo, hi float64, flags uint64) PlanKey {
-	return PlanKey{LoBucket: rangeBucket(lo), HiBucket: rangeBucket(hi), Flags: flags}
-}
-
-func rangeBucket(v float64) uint16 {
-	if v <= 0 {
-		return 0
-	}
-	if v >= 1 {
-		return planBuckets
-	}
-	return uint16(v * planBuckets)
-}
-
-func (k PlanKey) hash() uint64 {
-	h := uint64(fnvOffset)
-	h = fnvMix(h, uint64(k.LoBucket))
-	h = fnvMix(h, uint64(k.HiBucket))
-	h = fnvMix(h, k.Flags)
-	return h
-}
-
-type planEntry struct {
-	hash uint64
-	key  PlanKey
-	tok  Token
-	dec  Decision
-}
-
-// PlanCache is an LRU cache of plan Decisions keyed on bucketed ranges.
-// Unlike the result cache, entries tolerate bounded mutation drift within
-// the same plan generation: a few thousand inserts shift shard geometry
-// too little to flip a cost comparison, while a generation bump (retune /
-// hot-swap) always invalidates.
-type PlanCache struct {
-	mu     sync.Mutex
-	cap    int
-	lru    *list.List
-	byHash map[uint64]*list.Element
-}
-
-// NewPlanCache returns a cache holding at most capacity decisions
-// (capacity < 1 is clamped to 1).
-func NewPlanCache(capacity int) *PlanCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &PlanCache{cap: capacity, lru: list.New(), byHash: make(map[uint64]*list.Element)}
-}
-
-// Get returns the cached decision for key if its token matches tok's
-// generation and drifts by at most tolerance total mutations. Stale
-// entries are evicted. The decision is copied; FromCache is set.
-func (c *PlanCache) Get(key PlanKey, tok Token, tolerance uint64) (Decision, bool) {
-	h := key.hash()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byHash[h]
-	if !ok {
-		return Decision{}, false
-	}
-	e := el.Value.(*planEntry)
-	if e.key != key {
-		return Decision{}, false
-	}
-	if d, comparable := e.tok.drift(tok); !comparable || d > tolerance {
-		c.lru.Remove(el)
-		delete(c.byHash, h)
-		return Decision{}, false
-	}
-	c.lru.MoveToFront(el)
-	dec := e.dec
-	dec.PerShard = append([]Kind(nil), e.dec.PerShard...)
-	dec.FromCache = true
-	return dec, true
-}
-
-// Put stores the decision for key computed against state tok (copied, so
-// the cache shares no memory with the caller).
-func (c *PlanCache) Put(key PlanKey, tok Token, dec Decision) {
-	h := key.hash()
-	stored := planEntry{
-		hash: h,
-		key:  key,
-		tok:  Token{Gen: tok.Gen, Muts: append([]uint64(nil), tok.Muts...)},
-		dec:  dec,
-	}
-	stored.dec.PerShard = append([]Kind(nil), dec.PerShard...)
-	stored.dec.FromCache = false
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byHash[h]; ok {
-		*el.Value.(*planEntry) = stored
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.byHash[h] = c.lru.PushFront(&stored)
-	for c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		c.lru.Remove(back)
-		delete(c.byHash, back.Value.(*planEntry).hash)
-	}
-}
-
-// Len returns the number of live entries (for tests).
-func (c *PlanCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lru.Len()

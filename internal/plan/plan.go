@@ -22,12 +22,14 @@
 //     estimator's Chernoff 95% half-width, so the estimate is unlikely to
 //     misplace sets across the range boundary.
 //
-// The package also provides the two caches the planner feeds: a plan cache
-// keyed on bucketed query ranges and a query-result cache, both invalidated
-// by generation tokens (plan generation + per-shard mutation counters) so a
-// retune, hot-swap, or mutation can never serve a stale answer.
+// Pricing is cheap — the capture fraction is a weighted sum over a
+// tabulated curve (core.Index.CaptureFraction) — so decisions are not
+// cached. The package also provides the query-result cache the planner
+// feeds, invalidated by generation tokens (plan generation + per-shard
+// mutation counters) so a retune, hot-swap, or mutation can never serve a
+// stale answer.
 //
-// Lock order: the cache mutexes sit OUTSIDE (above) the engine's
+// Lock order: the result cache's mutex sits OUTSIDE (above) the engine's
 // tune → durable-shard → engine-shard → mapping → core chain. Cache calls
 // are transient and made while holding no engine or core lock; nothing in
 // this package calls back into the engine.
@@ -91,8 +93,6 @@ type Decision struct {
 	Predicted float64
 	// Costs are the predicted whole-query costs the choice was made from.
 	Costs Costs
-	// FromCache marks a decision served by the plan cache.
-	FromCache bool
 }
 
 // ShardInput is one shard's contribution to the cost inputs.
@@ -135,18 +135,11 @@ type Inputs struct {
 	// as free (the historical model).
 	SigBytesPerSet int
 	// PageBytes converts signature bytes to page counts (0 selects
-	// DefaultPageBytes).
+	// storage.DefaultPageSize).
 	PageBytes int
-	// ScreenWidthFactor gates screen-only: the range must be at least
-	// ScreenWidthFactor × Eps95 wide. 0 selects DefaultScreenWidthFactor.
-	ScreenWidthFactor float64
 	// AllowApproximate permits the ScreenOnly plan at all.
 	AllowApproximate bool
 }
-
-// DefaultPageBytes is the page size assumed when Inputs.PageBytes is zero
-// (storage's default page).
-const DefaultPageBytes = 4096
 
 // DefaultScreenWidthFactor requires a range at least 4 Chernoff
 // half-widths wide before screen-only is considered: an estimate near the
@@ -192,7 +185,7 @@ func Decide(in Inputs) Decision {
 		if in.SigBytesPerSet > 0 {
 			page := in.PageBytes
 			if page <= 0 {
-				page = DefaultPageBytes
+				page = storage.DefaultPageSize
 			}
 			sigPages = int64(share*float64(in.SigBytesPerSet)) / int64(page)
 		}
@@ -212,11 +205,7 @@ func Decide(in Inputs) Decision {
 	}
 	costs := Costs{FIProbe: fiTotal, DirectScan: scanTotal, ScreenOnly: screenTotal}
 
-	factor := in.ScreenWidthFactor
-	if factor <= 0 {
-		factor = DefaultScreenWidthFactor
-	}
-	if in.AllowApproximate && in.Eps95 > 0 && in.Width >= factor*in.Eps95 && screenTotal < exactTotal {
+	if in.AllowApproximate && in.Eps95 > 0 && in.Width >= DefaultScreenWidthFactor*in.Eps95 && screenTotal < exactTotal {
 		return Decision{Kind: ScreenOnly, Predicted: in.Predicted, Costs: costs}
 	}
 

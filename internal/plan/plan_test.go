@@ -171,45 +171,3 @@ func TestResultCacheKeyMismatch(t *testing.T) {
 		t.Fatal("different flags served the cached result")
 	}
 }
-
-func TestPlanCacheDriftTolerance(t *testing.T) {
-	c := NewPlanCache(4)
-	pk := MakePlanKey(0.5, 1.0, 0)
-	tok := Token{Gen: 1, Muts: []uint64{10, 10}}
-	c.Put(pk, tok, Decision{Kind: DirectScan, PerShard: []Kind{DirectScan, DirectScan}})
-	// Within tolerance: a handful of mutations keep the plan valid.
-	near := Token{Gen: 1, Muts: []uint64{12, 11}}
-	d, ok := c.Get(pk, near, 16)
-	if !ok || d.Kind != DirectScan || !d.FromCache {
-		t.Fatalf("Get within tolerance = %+v, %v", d, ok)
-	}
-	d.PerShard[0] = FIProbe // copies: must not poison the cache
-	if again, _ := c.Get(pk, near, 16); again.PerShard[0] != DirectScan {
-		t.Fatal("cached PerShard aliased to a Get result")
-	}
-	// Beyond tolerance: evicted, recomputation forced.
-	far := Token{Gen: 1, Muts: []uint64{100, 10}}
-	if _, ok := c.Get(pk, far, 16); ok {
-		t.Fatal("plan served past the mutation tolerance")
-	}
-	// Generation change: never comparable, regardless of tolerance.
-	c.Put(pk, tok, Decision{Kind: DirectScan})
-	if _, ok := c.Get(pk, Token{Gen: 2, Muts: []uint64{10, 10}}, 1<<40); ok {
-		t.Fatal("plan served across a generation bump")
-	}
-}
-
-func TestMakePlanKeyBuckets(t *testing.T) {
-	if MakePlanKey(0.50, 0.90, 0) != MakePlanKey(0.501, 0.901, 0) {
-		t.Fatal("nearby ranges must share a bucket")
-	}
-	if MakePlanKey(0.2, 0.9, 0) == MakePlanKey(0.7, 0.9, 0) {
-		t.Fatal("distant ranges must not share a bucket")
-	}
-	if MakePlanKey(0.5, 0.9, 0) == MakePlanKey(0.5, 0.9, 1) {
-		t.Fatal("flags must split buckets")
-	}
-	if MakePlanKey(-5, 99, 0) != MakePlanKey(0, 1, 0) {
-		t.Fatal("out-of-range bounds must clamp")
-	}
-}

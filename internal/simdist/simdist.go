@@ -112,6 +112,34 @@ func (h *Histogram) Integrate(a, b float64, f func(s float64) float64) float64 {
 	return sum
 }
 
+// Tabulate evaluates f at the midpoint of each of n equal bins over
+// [0, 1]: the points Integrate(0, 1, f) samples on an n-bin histogram.
+func Tabulate(n int, f func(s float64) float64) []float64 {
+	vals := make([]float64, n)
+	fn := float64(n)
+	for i := range vals {
+		vals[i] = f((float64(i)/fn + float64(i+1)/fn) / 2)
+	}
+	return vals
+}
+
+// IntegrateTable computes ∫_0^1 f(s)·D(s) ds from vals =
+// Tabulate(h.Bins(), f). It runs Integrate's loop in the same bin order
+// with the same arithmetic, so the result is bit-identical to
+// Integrate(0, 1, f) without evaluating f.
+func (h *Histogram) IntegrateTable(vals []float64) float64 {
+	n := float64(len(h.bins))
+	sum := 0.0
+	for i, w := range h.bins {
+		if w == 0 {
+			continue
+		}
+		lo, hi := float64(i)/n, float64(i+1)/n
+		sum += vals[i] * w * (hi - lo) * n
+	}
+	return sum
+}
+
 // Quantile returns the smallest s with CDF(s) >= p, for p in [0, 1].
 // An empty histogram returns p itself (uniform fallback).
 func (h *Histogram) Quantile(p float64) float64 {

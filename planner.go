@@ -11,11 +11,12 @@
 //   - screen-only: answers from signature estimates without fetching set
 //     data (approximate; only under QueryOptions.AllowApproximate).
 //
-// Plan decisions and exact results are cached. Both caches carry an
-// invalidation token — the plan generation plus per-shard mutation
-// counters — captured before the query executes; any retune, recovery
-// reload, insert, or delete changes the token, so stale entries are
-// lazily evicted on the next lookup and never served.
+// Pricing a query is a weighted sum over a tabulated capture curve, so
+// plan decisions are recomputed per query and never cached. Exact results
+// are cached under an invalidation token — the plan generation plus
+// per-shard mutation counters — captured before the query executes; any
+// retune, recovery reload, insert, or delete changes the token, so stale
+// entries are lazily evicted on the next lookup and never served.
 package ssr
 
 import "repro/internal/engine"
@@ -26,19 +27,6 @@ type PlannerPolicy struct {
 	// ResultCacheEntries bounds the query-result LRU cache. 0 means the
 	// default (1024); negative disables result caching.
 	ResultCacheEntries int
-	// PlanCacheEntries bounds the plan-decision LRU cache, keyed on
-	// bucketed similarity ranges. 0 means the default (256); negative
-	// disables plan caching.
-	PlanCacheEntries int
-	// MutationTolerance is how many inserts/deletes a cached PLAN
-	// decision survives before it is re-costed (cost estimates age
-	// gracefully; cached RESULTS never tolerate any drift). 0 means the
-	// default (1024).
-	MutationTolerance int
-	// ScreenWidthFactor gates the screen-only plan: the range width must
-	// be at least this multiple of the estimator's 95%-confidence width.
-	// 0 means the default (4).
-	ScreenWidthFactor float64
 	// ForcePlan, when non-empty, overrides the cost model: "fi-probe",
 	// "direct-scan", or "screen-only" (the last still requires
 	// AllowApproximate and otherwise falls back to fi-probe). Intended
@@ -47,16 +35,7 @@ type PlannerPolicy struct {
 }
 
 func (p PlannerPolicy) toEngine() engine.PlannerPolicy {
-	ep := engine.PlannerPolicy{
-		ResultCacheEntries: p.ResultCacheEntries,
-		PlanCacheEntries:   p.PlanCacheEntries,
-		ScreenWidthFactor:  p.ScreenWidthFactor,
-		ForcePlan:          p.ForcePlan,
-	}
-	if p.MutationTolerance > 0 {
-		ep.MutationTolerance = uint64(p.MutationTolerance)
-	}
-	return ep
+	return engine.PlannerPolicy{ResultCacheEntries: p.ResultCacheEntries, ForcePlan: p.ForcePlan}
 }
 
 // EnablePlanner turns on the cost-based query planner with the given
@@ -68,7 +47,7 @@ func (ix *Index) EnablePlanner(p PlannerPolicy) {
 	ix.inner.EnablePlanner(p.toEngine())
 }
 
-// DisablePlanner turns the planner off and drops its caches. Queries in
+// DisablePlanner turns the planner off and drops its result cache. Queries in
 // flight finish under whichever mode they observed at dispatch.
 func (ix *Index) DisablePlanner() { ix.inner.DisablePlanner() }
 

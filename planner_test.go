@@ -1,7 +1,10 @@
 package ssr
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -226,4 +229,153 @@ func TestPlannerDurableMixedGenerationRecovery(t *testing.T) {
 		requireSamePublicMatches(t, "post-recovery warm", got, want)
 		re.DisablePlanner()
 	}
+}
+
+// TestPlannerConcurrentStress races planned queries (Query, QueryBatch and
+// QueryAuto, all priced from the cores' capture tables) against inserts,
+// deletes and one Retune on a 4-shard index. The payload size puts the
+// shards near the index/scan crossover, so decisions mix fi-probe and
+// direct-scan shards. Every goroutine starts on the same signal, so the
+// first queries of each plan generation race on the tables' first fill.
+// Every query must succeed; at each quiescent point the planner's exact
+// answers must be byte-identical to the planner-off pipeline.
+func TestPlannerConcurrentStress(t *testing.T) {
+	opt := goldenSnapshotOptions()
+	opt.Shards = 4
+	opt.PayloadBytesPerElement = 5400
+	opt.Planner = true
+	ix, err := Build(goldenSnapshotCollection(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := shardSweepQueries()
+	ranges := [][2]float64{{0.9, 1}, {0.5, 0.8}, {0.3, 1}, {0, 1}}
+
+	// quiescent compares planner-on answers with the planner-off pipeline.
+	quiescent := func(label string) {
+		t.Helper()
+		var want [][]Match
+		ix.DisablePlanner()
+		for _, q := range queries {
+			for _, r := range ranges {
+				m, _, err := ix.Query(q, r[0], r[1])
+				if err != nil {
+					t.Fatalf("%s: planner-off query: %v", label, err)
+				}
+				want = append(want, m)
+			}
+		}
+		ix.EnablePlanner(PlannerPolicy{})
+		i := 0
+		for _, q := range queries {
+			for _, r := range ranges {
+				got, _, err := ix.Query(q, r[0], r[1])
+				if err != nil {
+					t.Fatalf("%s: planned query: %v", label, err)
+				}
+				requireSamePublicMatches(t, label, got, want[i])
+				i++
+			}
+		}
+	}
+
+	// storm runs readers and writers from one start signal; retune, when
+	// set, also fires one Retune mid-storm.
+	storm := func(phase int64, retune bool) {
+		const readers, writers, perReader, perWriter = 6, 2, 30, 20
+		start := make(chan struct{})
+		errCh := make(chan error, readers+writers+1)
+		var wg sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(phase*100 + int64(r)))
+				<-start
+				// Open with every range at once, so all readers race on
+				// each enclosure's first fill.
+				for _, rg := range ranges {
+					if _, _, _, err := ix.QueryAuto(queries[r%len(queries)], rg[0], rg[1]); err != nil {
+						errCh <- fmt.Errorf("phase %d reader %d first fill: %w", phase, r, err)
+						return
+					}
+				}
+				for i := 0; i < perReader; i++ {
+					q := queries[rng.Intn(len(queries))]
+					rg := ranges[rng.Intn(len(ranges))]
+					var err error
+					switch i % 3 {
+					case 0:
+						_, _, _, err = ix.QueryAuto(q, rg[0], rg[1])
+					case 1:
+						res := ix.QueryBatch([]BatchQuery{{Elements: q, Lo: rg[0], Hi: rg[1]}, {Elements: q, Lo: 0, Hi: 1}}, QueryOptions{})
+						for _, br := range res {
+							if br.Err != nil {
+								err = br.Err
+							}
+						}
+					case 2:
+						_, _, err = ix.Query(q, rg[0], rg[1])
+					}
+					if err != nil {
+						errCh <- fmt.Errorf("phase %d reader %d query %d: %w", phase, r, i, err)
+						return
+					}
+				}
+			}(r)
+		}
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(phase*100 + 50 + int64(w)))
+				<-start
+				for i := 0; i < perWriter; i++ {
+					base := rng.Intn(12)
+					elems := []string{fmt.Sprintf("stress-%d-%d-%d", phase, w, i)}
+					for j := 0; j < 8; j++ {
+						elems = append(elems, fmt.Sprintf("e%d", base*6+j))
+					}
+					sid, err := ix.Add(elems...)
+					if err != nil {
+						errCh <- fmt.Errorf("phase %d writer %d add %d: %w", phase, w, i, err)
+						return
+					}
+					if i%3 == 1 {
+						if err := ix.Remove(sid); err != nil {
+							errCh <- fmt.Errorf("phase %d writer %d remove %d: %w", phase, w, sid, err)
+							return
+						}
+					}
+				}
+			}(w)
+		}
+		if retune {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				rep, err := ix.Retune()
+				if err != nil {
+					errCh <- fmt.Errorf("phase %d retune: %w", phase, err)
+				} else if !rep.Swapped {
+					errCh <- fmt.Errorf("phase %d retune swapped no new plan generation", phase)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		close(errCh)
+		for err := range errCh {
+			t.Error(err)
+		}
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+
+	storm(1, false)
+	quiescent("after first storm")
+	storm(2, true)
+	quiescent("after retune storm")
 }

@@ -36,6 +36,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/minhash"
 	"repro/internal/optimize"
+	"repro/internal/plan"
 	"repro/internal/set"
 	"repro/internal/simdist"
 	"repro/internal/storage"
@@ -634,39 +635,35 @@ type RouteInfo struct {
 	// disagree near the cost crossover).
 	Path string
 	// PredictedCandidates is the modeled candidate count of the index
-	// path.
+	// path over the live collection.
 	PredictedCandidates float64
 	// IndexCost and ScanCost are the modeled I/O times.
 	IndexCost, ScanCost time.Duration
 }
 
+// routePaths names the access paths an exact planner decision can take.
+var routePaths = map[plan.Kind]string{plan.FIProbe: "index", plan.DirectScan: "scan", plan.Mixed: "mixed"}
+
 // QueryAuto models both access paths (filter indices vs sequential scan)
-// under the paper's I/O cost model and runs the cheaper one — the
-// Section 6 decision rule (the index wins while the predicted result is
-// below roughly |S|·a/rtn). The scan path is exact; the index path is the
-// usual one-sided approximation.
+// under the paper's I/O cost model and runs the cheaper one per shard —
+// the Section 6 decision rule (the index wins while the predicted result
+// is below roughly |S|·a/rtn). The scan path is exact; the index path is
+// the usual one-sided approximation. It errors when the index has no
+// similarity distribution to price from, as after Load.
 func (ix *Index) QueryAuto(elements []string, lo, hi float64) ([]Match, RouteInfo, Stats, error) {
 	if lo < 0 || hi > 1 || lo > hi {
 		return nil, RouteInfo{}, Stats{}, fmt.Errorf("ssr: invalid similarity range [%g, %g]", lo, hi)
 	}
-	model := storage.DefaultCostModel()
-	rp, err := ix.inner.RouteQuery(lo, hi, model)
+	matches, dec, qs, err := ix.inner.QueryAuto(ix.coll.intern(elements), lo, hi)
 	if err != nil {
 		return nil, RouteInfo{}, Stats{}, err
 	}
 	info := RouteInfo{
-		Path:                rp.Route.String(),
-		PredictedCandidates: rp.PredictedCandidates,
-		IndexCost:           rp.IndexCost,
-		ScanCost:            rp.ScanCost,
+		Path:                routePaths[dec.Kind],
+		PredictedCandidates: dec.Predicted,
+		IndexCost:           dec.Costs.FIProbe,
+		ScanCost:            dec.Costs.DirectScan,
 	}
-	matches, path, qs, err := ix.inner.QueryAuto(ix.coll.intern(elements), lo, hi, model)
-	if err != nil {
-		return nil, info, Stats{}, err
-	}
-	// Report the path(s) that actually ran: on a sharded index each shard
-	// routes independently, which can differ from the aggregate prediction.
-	info.Path = path
 	return convertMatches(matches), info, ix.convertStats(qs), nil
 }
 

@@ -1,7 +1,10 @@
 package ssr
 
 import (
+	"bytes"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -315,5 +318,112 @@ func TestQueryAutoPublic(t *testing.T) {
 	}
 	if est, err := ix.EstimateAnswerSize(0, 1); err != nil || est <= 0 {
 		t.Errorf("EstimateAnswerSize = %g, %v", est, err)
+	}
+}
+
+// TestQueryAutoNeedsDistribution: a loaded snapshot carries no similarity
+// distribution, so QueryAuto has nothing to price from and says so.
+func TestQueryAutoNeedsDistribution(t *testing.T) {
+	ix, err := Build(bookstore(), durableBuildOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	re, err := Load(bytes.NewReader(saveBytes(t, ix)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, err = re.QueryAuto([]string{"dune", "foundation"}, 0.5, 1)
+	if err == nil || !strings.Contains(err.Error(), "no similarity distribution") {
+		t.Fatalf("QueryAuto on a loaded snapshot: err = %v, want the no-distribution error", err)
+	}
+}
+
+// TestQueryAutoPricesLiveSets: deletions shrink the predicted candidate
+// count in proportion to the live collection — tombstones are not priced.
+func TestQueryAutoPricesLiveSets(t *testing.T) {
+	const deleted = 40
+	q := shardSweepQueries()[0]
+	for _, shards := range []int{1, 4} {
+		opt := goldenSnapshotOptions()
+		opt.Shards = shards
+		ix, err := Build(goldenSnapshotCollection(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := ix.Len()
+		_, before, _, err := ix.QueryAuto(q, 0.9, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for sid := 0; sid < deleted; sid++ {
+			if err := ix.Remove(sid); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, after, _, err := ix.QueryAuto(q, 0.9, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := before.PredictedCandidates * float64(n-deleted-1) / float64(n-1)
+		if math.Abs(after.PredictedCandidates-want) > 1e-9*want {
+			t.Fatalf("shards=%d: predicted %g candidates after %d deletions, want %g (was %g)",
+				shards, after.PredictedCandidates, deleted, want, before.PredictedCandidates)
+		}
+	}
+}
+
+// TestQueryAutoPathMatchesShards: on a sharded index RouteInfo.Path names
+// the paths the shards actually ran. A scan shard reads its heap
+// sequentially with no random reads; an index shard probes buckets and
+// fetches candidates at random. The payload sizes straddle the cost
+// crossover so the index, scan and mixed paths all occur.
+func TestQueryAutoPathMatchesShards(t *testing.T) {
+	seen := map[string]bool{}
+	for _, payload := range []int{5400, 8000} {
+		opt := goldenSnapshotOptions()
+		opt.Shards = 4
+		opt.PayloadBytesPerElement = payload
+		ix, err := Build(goldenSnapshotCollection(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range shardSweepQueries() {
+			for _, r := range [][2]float64{{0.9, 1}, {0, 1}} {
+				_, info, st, err := ix.QueryAuto(q, r[0], r[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(st.PerShard) != 4 {
+					t.Fatalf("%d per-shard stats, want 4", len(st.PerShard))
+				}
+				ran := map[string]bool{}
+				for si, ps := range st.PerShard {
+					switch {
+					case ps.RandomPageReads > 0:
+						ran["index"] = true
+					case ps.SequentialPageReads > 0:
+						ran["scan"] = true
+					default:
+						t.Fatalf("payload=%d range %v: shard %d recorded no I/O", payload, r, si)
+					}
+				}
+				want := "mixed"
+				switch {
+				case !ran["scan"]:
+					want = "index"
+				case !ran["index"]:
+					want = "scan"
+				}
+				if info.Path != want {
+					t.Fatalf("payload=%d range %v: RouteInfo.Path %q, shards ran %q", payload, r, info.Path, want)
+				}
+				seen[info.Path] = true
+			}
+		}
+	}
+	for _, p := range []string{"index", "scan", "mixed"} {
+		if !seen[p] {
+			t.Errorf("path %q never exercised (saw %v)", p, seen)
+		}
 	}
 }
