@@ -54,6 +54,7 @@ FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/storage/ -run '^$$' -fuzz FuzzSetEncoding -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage/ -run '^$$' -fuzz FuzzDecodeCorrupt -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/hashtable/ -run '^$$' -fuzz FuzzTableOps -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ecc/ -run '^$$' -fuzz FuzzHadamardRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/minhash/ -run '^$$' -fuzz FuzzPackedSignatureRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzReplay -fuzztime $(FUZZTIME)

@@ -16,6 +16,7 @@ package ssr
 import (
 	"bytes"
 	"io"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -290,6 +291,32 @@ func BenchmarkGroupInsert(b *testing.B) {
 	}
 }
 
+// tableStream returns n (key, sid) pairs with uniform 24-bit keys and
+// ascending sids: the shape of one filter table's build stream.
+func tableStream(n int) ([]uint64, []storage.SID) {
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]uint64, n)
+	sids := make([]storage.SID, n)
+	for i := range keys {
+		keys[i], sids[i] = rng.Uint64()>>40, storage.SID(i)
+	}
+	return keys, sids
+}
+
+// BenchmarkTableLoad measures bulk-loading one table of default 4 KiB
+// pages with 2^16 pairs at its ExpectedEntries occupancy: the per-table
+// fill of an index build. ns/op covers the whole stream.
+func BenchmarkTableLoad(b *testing.B) {
+	keys, sids := tableStream(1 << 16)
+	for i := 0; i < b.N; i++ {
+		tab, err := hashtable.New(storage.NewPager(0), hashtable.Options{ExpectedEntries: len(keys)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		tab.Load(keys, sids)
+	}
+}
+
 // BenchmarkBuildIndex measures full index construction for 500 sets.
 func BenchmarkBuildIndex(b *testing.B) {
 	sets, err := workload.Generate(workload.Set1Params(500))
@@ -446,19 +473,21 @@ func BenchmarkMinhashEstimate(b *testing.B) {
 	}
 }
 
-// BenchmarkHashtableProbe measures one bucket probe in a loaded table.
+// BenchmarkHashtableProbe measures one probe for a stored key in a table
+// of default 4 KiB pages filled to its ExpectedEntries occupancy (about
+// one full page per bucket), with 24-bit keys so most probes match a few
+// entries.
 func BenchmarkHashtableProbe(b *testing.B) {
-	tab, err := hashtable.New(storage.NewPager(0), hashtable.Options{ExpectedEntries: 1 << 16})
+	keys, sids := tableStream(1 << 16)
+	tab, err := hashtable.New(storage.NewPager(0), hashtable.Options{ExpectedEntries: len(keys)})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < 1<<16; i++ {
-		tab.Insert(uint64(i%997), storage.SID(i))
-	}
+	tab.Load(keys, sids)
 	var dst []storage.SID
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = tab.Probe(uint64(i%997), nil, dst[:0])
+		dst = tab.Probe(keys[i%len(keys)], nil, dst[:0])
 	}
 }
 

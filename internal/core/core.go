@@ -771,7 +771,7 @@ func (ix *Index) candidatesFromSignature(sig minhash.Signature, s1, s2 float64, 
 		if sc == nil {
 			return f.Vector(src, &stats.IndexIO)
 		}
-		sc.bufs[slot] = f.VectorAppend(src, &stats.IndexIO, sc.bufs[slot][:0])
+		sc.bufs[slot] = f.VectorAppend(src, &stats.IndexIO, sc.bufs[slot][:0], &sc.seen)
 		return sc.bufs[slot]
 	}
 	// merged stores a merge output back into its slot (retaining grown

@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/embed"
 	"repro/internal/filter"
+	"repro/internal/lsh"
 	"repro/internal/minhash"
 	"repro/internal/set"
 	"repro/internal/storage"
@@ -173,28 +174,30 @@ func signCollection(emb *embed.Embedder, sets []set.Set, workers int) []minhash.
 	return sigs
 }
 
-// populateFilters inserts every signature into every filter index (see
+// populateFilters bulk-loads every signature into every filter index (see
 // eachFilter for the fan-out and its determinism argument).
 func populateFilters(emb *embed.Embedder, sigs []minhash.Signature, fis []*filter.Index, workers int) {
 	eachFilter(fis, workers, func(f *filter.Index) {
 		// One reusable BitSource view per goroutine: swapping the signature
 		// in place avoids an interface allocation per (index, sid) pair.
 		src := &embed.SigBits{E: emb}
-		for sid, sig := range sigs {
-			if sig == nil {
-				continue
+		f.Load(func(yield func(lsh.BitSource, storage.SID)) {
+			for sid, sig := range sigs {
+				if sig == nil {
+					continue
+				}
+				src.Sig = sig
+				yield(src, storage.SID(sid))
 			}
-			src.Sig = sig
-			f.Insert(src, storage.SID(sid))
-		}
+		})
 	})
 }
 
 // eachFilter runs populate on every filter index, one goroutine per index
 // (bounded by workers). Indices are independent structures drawing pages
-// from their own pagers, and populate inserts sids in ascending order —
-// the same per-index insertion sequence as the serial build, so bucket
-// chains come out identical for every worker count.
+// from their own pagers, and populate loads sids in ascending order —
+// the same per-index sequence as the serial build, so bucket chains come
+// out identical for every worker count.
 func eachFilter(fis []*filter.Index, workers int, populate func(f *filter.Index)) {
 	if workers <= 1 || len(fis) <= 1 {
 		for _, f := range fis {
@@ -244,24 +247,28 @@ func packCollection(fam minhash.Family, full []minhash.Signature, sets []set.Set
 func populateFiltersPacked(emb *embed.Embedder, fam minhash.Family, sigs []minhash.Signature, fis []*filter.Index, workers int) {
 	eachFilter(fis, workers, func(f *filter.Index) {
 		src := &embed.PackedSigBits{E: emb, Fam: fam}
-		for sid, sig := range sigs {
-			if sig == nil {
-				continue
+		f.Load(func(yield func(lsh.BitSource, storage.SID)) {
+			for sid, sig := range sigs {
+				if sig == nil {
+					continue
+				}
+				src.Words = sig
+				yield(src, storage.SID(sid))
 			}
-			src.Words = sig
-			f.Insert(src, storage.SID(sid))
-		}
+		})
 	})
 }
 
 // queryScratch holds the reusable per-query buffers pooled on the index:
 // the full query signature, its packed family representation (screening),
-// and the probe/merge sid vectors of the Section 4.3 filter combination.
-// Steady-state queries allocate only their results.
+// the probe/merge sid vectors of the Section 4.3 filter combination, and
+// the bitset each probe vector unions through. Steady-state queries
+// allocate only their results.
 type queryScratch struct {
 	sig    minhash.Signature
 	packed []uint64
 	bufs   [7][]storage.SID
+	seen   lsh.Seen
 }
 
 // verifyChunk runs the fetch-and-verify loop (with optional signature

@@ -8,6 +8,7 @@ import (
 	"io"
 
 	"repro/internal/embed"
+	"repro/internal/hashtable"
 	"repro/internal/minhash"
 	"repro/internal/optimize"
 	"repro/internal/set"
@@ -217,6 +218,10 @@ func (snap *snapshot) validate(sigWords int) error {
 	}
 	if snap.PageSize < 0 || snap.PayloadPerElem < 0 {
 		return fmt.Errorf("core: snapshot has negative storage parameters")
+	}
+	// Every filter page of the rebuild is allocated at this size.
+	if snap.PageSize > hashtable.MaxPageSize {
+		return fmt.Errorf("core: snapshot page size %d exceeds the maximum %d", snap.PageSize, hashtable.MaxPageSize)
 	}
 	if snap.CountLocatorIO {
 		return fmt.Errorf("core: snapshot sets CountLocatorIO, whose sid-lookup I/O accounting is no longer supported")

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/embed"
+	"repro/internal/hashtable"
 	"repro/internal/optimize"
 	"repro/internal/workload"
 )
@@ -286,5 +287,33 @@ func TestLoadRetiredLocatorFields(t *testing.T) {
 	_, err = Load(reencode(func(s *snapshot) { s.CountLocatorIO = true }))
 	if err == nil || !strings.Contains(err.Error(), "CountLocatorIO") {
 		t.Fatalf("CountLocatorIO=true snapshot: err = %v, want an error naming CountLocatorIO", err)
+	}
+}
+
+// TestLoadRejectsOversizedPageSize checks a snapshot whose page size no
+// bucket page can have is refused by validation, before the rebuild would
+// allocate a page of that size for every filter page.
+func TestLoadRejectsOversizedPageSize(t *testing.T) {
+	ix, _ := buildSmall(t, 200, 30)
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var saved snapshot
+	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes()[len(snapshotMagic):])).Decode(&saved); err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{hashtable.MaxPageSize + 1, 1 << 30} {
+		snap := saved
+		snap.PageSize = size
+		var out bytes.Buffer
+		out.WriteString(snapshotMagic)
+		if err := gob.NewEncoder(&out).Encode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(&out)
+		if err == nil || !strings.Contains(err.Error(), "snapshot page size") {
+			t.Errorf("page size %d: Load error = %v, want a page-size rejection", size, err)
+		}
 	}
 }

@@ -114,6 +114,14 @@ func (ix *Index) Insert(src lsh.BitSource, sid storage.SID) {
 	ix.group.Insert(src, sid)
 }
 
+// Load bulk-fills the index with the data vectors each yields (unchanged,
+// for both kinds): the build-time equivalent of Insert on every (src, sid)
+// in yield order. each is called once per table and must yield the same
+// sequence every time (see lsh.Group.Load).
+func (ix *Index) Load(each func(yield func(src lsh.BitSource, sid storage.SID))) {
+	ix.group.Load(each)
+}
+
 // AppendInsertKeys appends the per-table keys Insert stores for data
 // vector src (data vectors enter unchanged for both kinds, so these are
 // also the keys Delete removes). Callers that maintain occupancy summaries
@@ -160,18 +168,19 @@ func (ix *Index) Delete(src lsh.BitSource, sid storage.SID) int {
 // DFI: the deduplicated sids the filter identifies for query vector q.
 // Bucket page reads are charged to io (which may be nil).
 func (ix *Index) Vector(q lsh.BitSource, io *storage.Counter) []storage.SID {
-	return ix.VectorAppend(q, io, nil)
+	return ix.VectorAppend(q, io, nil, nil)
 }
 
 // VectorAppend is Vector writing into dst's backing array (dst must be
-// empty; its capacity is reused). The result aliases dst and is only valid
-// until dst's next reuse — the allocation-free probe path of the query
+// empty; its capacity is reused) and unioning through the bitset seen (nil
+// for a throwaway one). The result aliases dst and is only valid until
+// dst's next reuse — the allocation-free probe path of the query
 // processor's scratch buffers.
-func (ix *Index) VectorAppend(q lsh.BitSource, io *storage.Counter, dst []storage.SID) []storage.SID {
+func (ix *Index) VectorAppend(q lsh.BitSource, io *storage.Counter, dst []storage.SID, seen *lsh.Seen) []storage.SID {
 	if ix.kind == Dissimilar {
-		return ix.group.QueryAppend(lsh.Complement{Src: q}, io, dst)
+		return ix.group.QueryAppend(lsh.Complement{Src: q}, io, dst, seen)
 	}
-	return ix.group.QueryAppend(q, io, dst)
+	return ix.group.QueryAppend(q, io, dst, seen)
 }
 
 // CaptureProb returns the probability that a vector at Hamming similarity

@@ -2,6 +2,7 @@ package lsh
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -181,6 +182,26 @@ func (g *Group) InsertKeys(keys []uint64, sid storage.SID) {
 	}
 }
 
+// Load bulk-fills the tables with the vectors each yields: the build-time
+// equivalent of calling Insert on every (src, sid) in yield order, with
+// identical bucket pages. each is called once per table and must yield the
+// same sequence every time; src is only read during the yield, so callers
+// may reuse one view.
+func (g *Group) Load(each func(yield func(src BitSource, sid storage.SID))) {
+	var keys []uint64
+	var sids []storage.SID
+	for i, t := range g.tables {
+		keys = keys[:0]
+		each(func(src BitSource, sid storage.SID) {
+			keys = append(keys, g.key(i, src))
+			if i == 0 {
+				sids = append(sids, sid)
+			}
+		})
+		t.Load(keys, sids)
+	}
+}
+
 // Delete removes sid from every table, keyed by the sampled bits of src
 // (the same vector it was inserted with). It returns the number of table
 // entries removed (at most one per table).
@@ -210,34 +231,74 @@ func (g *Group) RangeKeys(fn func(table int, key uint64)) {
 }
 
 // Query probes all L tables for src and returns the deduplicated union of
-// bucket contents — SimVector for this group's threshold. Page reads are
-// charged to io (which may be nil).
+// bucket contents in ascending sid order — SimVector for this group's
+// threshold. Page reads are charged to io (which may be nil).
 func (g *Group) Query(src BitSource, io *storage.Counter) []storage.SID {
-	return g.QueryAppend(src, io, nil)
+	return g.QueryAppend(src, io, nil, nil)
 }
 
 // QueryAppend is Query writing into dst's backing array: dst must be empty
 // (length 0) but may carry capacity from a previous probe, which is reused
-// instead of growing a fresh slice. The returned slice aliases dst's
-// backing array and is only valid until the next reuse.
-func (g *Group) QueryAppend(src BitSource, io *storage.Counter, dst []storage.SID) []storage.SID {
+// instead of growing a fresh slice. seen is the union's bitset scratch
+// (nil for a throwaway one). The returned slice aliases dst's backing
+// array and is only valid until the next reuse.
+func (g *Group) QueryAppend(src BitSource, io *storage.Counter, dst []storage.SID, seen *Seen) []storage.SID {
 	raw := dst[:0:cap(dst)]
 	for i := range g.tables {
 		raw = g.tables[i].Probe(g.key(i, src), io, raw)
 	}
-	return dedupe(raw)
+	if seen == nil {
+		seen = new(Seen)
+	}
+	return seen.union(raw)
 }
 
-// dedupe sorts and deduplicates sids in place.
-func dedupe(sids []storage.SID) []storage.SID {
+// Seen is the union scratch of QueryAppend: a bitset over a window of
+// sids that is all zero between calls. The zero value is ready to use; it
+// grows to the widest sid window it is asked to hold.
+type Seen struct {
+	words []uint64
+}
+
+// maxSeenWords bounds the bitset a sparse union may grow (8 KiB): past it
+// the union sorts unless the sids are dense enough to pay for the words.
+const maxSeenWords = 1024
+
+// union replaces sids, in place, with their distinct values in ascending
+// order. Dense sids (the local sids of a core) pass through the bitset:
+// set one bit each, then read the words back out, clearing them as they
+// go. Sids too sparse for the bitset are sorted instead.
+func (s *Seen) union(sids []storage.SID) []storage.SID {
 	if len(sids) < 2 {
 		return sids
 	}
-	slices.Sort(sids)
-	out := sids[:1]
-	for _, s := range sids[1:] {
-		if s != out[len(out)-1] {
-			out = append(out, s)
+	lo, hi := sids[0], sids[0]
+	for _, sid := range sids[1:] {
+		lo, hi = min(lo, sid), max(hi, sid)
+	}
+	base := lo &^ 63
+	span := int((hi-base)>>6) + 1
+	if span > maxSeenWords && span > len(sids) {
+		slices.Sort(sids)
+		return slices.Compact(sids)
+	}
+	if span > len(s.words) {
+		s.words = make([]uint64, span)
+	}
+	words := s.words[:span]
+	for _, sid := range sids {
+		off := sid - base
+		words[off>>6] |= 1 << (off & 63)
+	}
+	out := sids[:0]
+	for w, x := range words {
+		if x == 0 {
+			continue
+		}
+		words[w] = 0
+		for x != 0 {
+			out = append(out, base+storage.SID(w<<6|bits.TrailingZeros64(x)))
+			x &= x - 1
 		}
 	}
 	return out
