@@ -262,10 +262,12 @@ func Build(sets []set.Set, opt Options) (*Engine, error) {
 	// machinery the retune path uses. Every shard would derive this very
 	// plan from (hist, Plan) anyway (BuildPlan is deterministic on its
 	// inputs), so injecting it as a per-shard override changes nothing in
-	// the built bytes while removing the dominant serial cost of sharded
-	// builds (N shards × one optimizer run). copt.Plan stays populated in
-	// each shard's build options: the re-tuner echoes its Budget /
-	// RecallTarget / SignatureK when planning future generations.
+	// the built bytes while saving N-1 redundant optimizer runs and
+	// keeping PlanRuns at one per build. The run itself is small next to
+	// the shards' table fill now that the optimizer's capture model is
+	// tabulated. copt.Plan stays populated in each shard's build options:
+	// the re-tuner echoes its Budget / RecallTarget / SignatureK when
+	// planning future generations.
 	planOverride := copt.PlanOverride
 	if planOverride == nil {
 		popt := copt.Plan

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/embed"
@@ -54,6 +55,10 @@ type DriftReport struct {
 	// TrackerFired is true when MaybeRetune swapped on its own — the
 	// drift gate, not a manual override, triggered the rebuild.
 	TrackerFired bool
+	// RetuneMillis is the wall time of the swap that ran: MaybeRetune
+	// when the tracker fired, otherwise the forced Retune. It covers
+	// re-estimating D_S, the Section 5 optimizer and the rebuild.
+	RetuneMillis float64
 	// Phases holds the three measurement points in order.
 	Phases []DriftPhase
 }
@@ -204,6 +209,7 @@ func Drift(w io.Writer, cfg Config) (*DriftReport, error) {
 
 	// The retune: the gated path first, so the report also certifies the
 	// tracker's decision rule end to end.
+	start := time.Now()
 	res, err := e.MaybeRetune()
 	if err != nil {
 		return nil, fmt.Errorf("maybe-retune: %w", err)
@@ -211,10 +217,12 @@ func Drift(w io.Writer, cfg Config) (*DriftReport, error) {
 	rep.TrackerFired = res.Swapped
 	rep.Drift = res.Drift
 	if !res.Swapped {
+		start = time.Now()
 		if res, err = e.Retune(); err != nil {
 			return nil, fmt.Errorf("forced retune: %w", err)
 		}
 	}
+	rep.RetuneMillis = float64(time.Since(start).Microseconds()) / 1000
 
 	// Phase 3: the identical workload on the re-tuned plan.
 	retuned, err := evalDrift(e, live, qsAfter, "retuned")
@@ -225,8 +233,8 @@ func Drift(w io.Writer, cfg Config) (*DriftReport, error) {
 
 	fmt.Fprintf(w, "Drift (budget %d tables, k=%d, %d-set mirror base + %d-set diverse stream, %d queries/phase)\n",
 		budget, cfg.MinHashes, rep.BaseSets, rep.FloodSets, cfg.Queries)
-	fmt.Fprintf(w, "tracker: drift %.3f vs threshold %.3f, fired=%v (generation %d)\n",
-		rep.Drift, rep.Threshold, rep.TrackerFired, res.Generation)
+	fmt.Fprintf(w, "tracker: drift %.3f vs threshold %.3f, fired=%v (generation %d, retune %.1f ms)\n",
+		rep.Drift, rep.Threshold, rep.TrackerFired, res.Generation, rep.RetuneMillis)
 	fmt.Fprintf(w, "%-9s %8s %8s %8s %12s %4s\n", "phase", "sets", "recall", "prec", "candidates", "gen")
 	for _, p := range rep.Phases {
 		fmt.Fprintf(w, "%-9s %8d %8.3f %8.3f %12.1f %4d\n",

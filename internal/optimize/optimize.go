@@ -74,34 +74,63 @@ func solveR(kind filter.Kind, sigma float64, l int) int {
 // that distribution. Evaluating p_{r,l} only at the mean (k = 0 requests
 // that cheaper approximation) understates capture substantially in the
 // tails because p_{r,l} is convex there.
+//
+// A Model evaluates the same average from memoized weights and p_{r,l}
+// vectors; both run through binomWeights and agreementProbs, so the two
+// agree bit for bit.
 func Capture(kind filter.Kind, sigma float64, l, k int, s float64) float64 {
 	if l < 1 {
 		return 0
 	}
 	r := solveR(kind, sigma, l)
-	prob := func(sH float64) float64 {
-		x := sH
-		if kind == filter.Dissimilar {
-			x = 1 - x
-		}
-		return lsh.CollisionProb(x, r, l)
-	}
 	if k <= 0 {
-		return prob(embed.HammingFromJaccard(s))
+		return collision(kind, embed.HammingFromJaccard(s), r, l)
 	}
-	return binomialAverage(k, s, func(a int) float64 {
-		return prob((1 + float64(a)/float64(k)) / 2)
-	})
+	w := newBinomWeights(k, s)
+	p := make([]float64, k+1)
+	from, to := w.span()
+	agreementProbs(p, kind, r, l, k, from, to)
+	return w.average(p)
 }
 
-// binomialAverage returns E[f(A)] for A ~ Binomial(k, p), truncating the
-// sum to ±6 standard deviations around the mean.
-func binomialAverage(k int, p float64, f func(a int) float64) float64 {
+// collision returns p_{r,l} at embedded Hamming similarity sH for an FI of
+// the given kind; a DFI probes complemented queries, so it sees 1 - sH.
+func collision(kind filter.Kind, sH float64, r, l int) float64 {
+	if kind == filter.Dissimilar {
+		sH = 1 - sH
+	}
+	return lsh.CollisionProb(sH, r, l)
+}
+
+// agreementProbs sets p[a] to the capture probability of a pair whose k
+// signature coordinates agree in a places, for a in [from, to]: p_{r,l} at
+// the embedded Hamming similarity (1 + a/k)/2.
+func agreementProbs(p []float64, kind filter.Kind, r, l, k, from, to int) {
+	for a := from; a <= to; a++ {
+		p[a] = collision(kind, (1+float64(a)/float64(k))/2, r, l)
+	}
+}
+
+// binomWeights is the Binomial(k, s) agreement distribution at one
+// evaluation point s, truncated to ±6 standard deviations around the mean:
+// w[i] weighs agreement count lo+i, and wsum is the weights' sum. The
+// weights do not depend on the filter, so a Model computes them once per
+// point. A nil w marks a degenerate point (s ≤ 0, s ≥ 1, or weights that
+// underflow to zero) whose average is p at the single agreement count at.
+type binomWeights struct {
+	lo   int
+	w    []float64
+	wsum float64
+	at   int
+}
+
+// newBinomWeights tabulates the agreement distribution of Binomial(k, p).
+func newBinomWeights(k int, p float64) binomWeights {
 	if p <= 0 {
-		return f(0)
+		return binomWeights{at: 0}
 	}
 	if p >= 1 {
-		return f(k)
+		return binomWeights{at: k}
 	}
 	mean := float64(k) * p
 	dev := 6*math.Sqrt(float64(k)*p*(1-p)) + 1
@@ -114,21 +143,43 @@ func binomialAverage(k int, p float64, f func(a int) float64) float64 {
 		hi = k
 	}
 	// pmf(a) computed iteratively from pmf(lo) in log space for stability.
-	logPmf := logBinomPmf(k, lo, p)
+	lp := logBinomPmf(k, lo, p)
 	ratio := p / (1 - p)
-	sum, wsum := 0.0, 0.0
-	lp := logPmf
+	w := make([]float64, 0, hi-lo+1)
+	wsum := 0.0
 	for a := lo; a <= hi; a++ {
-		w := math.Exp(lp)
-		sum += w * f(a)
-		wsum += w
+		x := math.Exp(lp)
+		w = append(w, x)
+		wsum += x
 		// pmf(a+1)/pmf(a) = (k-a)/(a+1) · p/(1-p)
 		lp += math.Log(float64(k-a)/float64(a+1)) + math.Log(ratio)
 	}
 	if wsum == 0 {
-		return f(int(mean))
+		return binomWeights{at: int(mean)}
 	}
-	return sum / wsum
+	return binomWeights{lo: lo, w: w, wsum: wsum}
+}
+
+// span returns the agreement counts [from, to] that average reads.
+func (b *binomWeights) span() (from, to int) {
+	if b.w == nil {
+		return b.at, b.at
+	}
+	return b.lo, b.lo + len(b.w) - 1
+}
+
+// average returns E[p[A]] over the tabulated distribution. The weighted
+// sum runs in ascending agreement order and is divided by the weight sum
+// at the end, so the result does not depend on how p was produced.
+func (b *binomWeights) average(p []float64) float64 {
+	if b.w == nil {
+		return p[b.at]
+	}
+	sum := 0.0
+	for i, w := range b.w {
+		sum += w * p[b.lo+i]
+	}
+	return sum / b.wsum
 }
 
 // logBinomPmf returns log C(k, a) + a·log p + (k-a)·log(1-p).
@@ -142,39 +193,164 @@ func logBinomPmf(k, a int, p float64) float64 {
 
 // Model evaluates expected errors of planned filter indices against a
 // similarity distribution.
+//
+// It memoizes both inputs of the averaged capture: the agreement weights
+// at every point the histogram integrals sample (one per bin midpoint,
+// plus the midpoints of bins clipped at a range end), and p_{r,l} at every
+// agreement count, once per (kind, r, l). A capture evaluation is then a
+// short multiply-add, bit-identical to Capture. A Model is not safe for
+// concurrent use.
 type Model struct {
 	hist *simdist.Histogram
 	k    int
+	// mids[i] holds the weights at bin i's midpoint once first sampled.
+	mids []*binomWeights
+	// clipped holds the weights at clipped-bin midpoints, keyed by the
+	// float64 bits of the point.
+	clipped map[uint64]*binomWeights
+	// probs holds p_{r,l} at agreement counts 0..k, per (kind, r, l).
+	probs map[probKey][]float64
+	// curves resolves an FI (kind, point, tables) to its solved r and
+	// probs entry, so r is solved once per FI.
+	curves map[curveKey]*curve
+	// collisionEvals counts lsh.CollisionProb evaluations, the model's
+	// transcendental work; tests pin it.
+	collisionEvals int
+}
+
+type probKey struct {
+	kind filter.Kind
+	r, l int
+}
+
+type curveKey struct {
+	kind  filter.Kind
+	sigma uint64
+	l     int
+}
+
+// curve is one FI's capture model: its kind, r and l, and for k > 0 its
+// p_{r,l} at every agreement count. A curve with l < 1 captures nothing.
+type curve struct {
+	kind filter.Kind
+	r, l int
+	p    []float64
+}
+
+// point is one evaluation point of a histogram integral: the Jaccard
+// similarity s and, for k > 0, its agreement weights.
+type point struct {
+	s float64
+	w *binomWeights
 }
 
 // NewModel wraps a similarity distribution for error estimation with the
 // cheaper mean-Hamming capture approximation (k = 0).
-func NewModel(hist *simdist.Histogram) *Model { return &Model{hist: hist} }
+func NewModel(hist *simdist.Histogram) *Model { return NewModelK(hist, 0) }
 
 // NewModelK wraps a similarity distribution for error estimation under a
 // k-coordinate min-hash signature (Binomial-averaged capture).
-func NewModelK(hist *simdist.Histogram, k int) *Model { return &Model{hist: hist, k: k} }
+func NewModelK(hist *simdist.Histogram, k int) *Model {
+	return &Model{
+		hist:    hist,
+		k:       k,
+		mids:    make([]*binomWeights, hist.Bins()),
+		clipped: map[uint64]*binomWeights{},
+		probs:   map[probKey][]float64{},
+		curves:  map[curveKey]*curve{},
+	}
+}
+
+// curve returns the memoized capture model of an FI.
+func (m *Model) curve(kind filter.Kind, sigma float64, l int) *curve {
+	ck := curveKey{kind: kind, sigma: math.Float64bits(sigma), l: l}
+	if c, ok := m.curves[ck]; ok {
+		return c
+	}
+	c := &curve{kind: kind, l: l}
+	if l >= 1 {
+		c.r = solveR(kind, sigma, l)
+		if m.k > 0 {
+			pk := probKey{kind: kind, r: c.r, l: l}
+			p, ok := m.probs[pk]
+			if !ok {
+				p = make([]float64, m.k+1)
+				agreementProbs(p, kind, c.r, l, m.k, 0, m.k)
+				m.collisionEvals += m.k + 1
+				m.probs[pk] = p
+			}
+			c.p = p
+		}
+	}
+	m.curves[ck] = c
+	return c
+}
+
+// capture returns the capture probability of c at pt; it equals
+// Capture(c.kind, σ, c.l, m.k, pt.s) for the σ c was built for.
+func (m *Model) capture(c *curve, pt point) float64 {
+	if c.l < 1 {
+		return 0
+	}
+	if m.k <= 0 {
+		m.collisionEvals++
+		return collision(c.kind, embed.HammingFromJaccard(pt.s), c.r, c.l)
+	}
+	return pt.w.average(c.p)
+}
+
+// integrate is hist.Integrate(a, b, f) with f handed the memoized
+// evaluation point instead of bare s.
+func (m *Model) integrate(a, b float64, f func(pt point) float64) float64 {
+	return m.hist.IntegrateBins(a, b, func(bin int, whole bool, s float64) float64 {
+		return f(m.point(bin, whole, s))
+	})
+}
+
+// point returns the evaluation point at s, which lies in bin.
+func (m *Model) point(bin int, whole bool, s float64) point {
+	if m.k <= 0 {
+		return point{s: s}
+	}
+	if whole {
+		if m.mids[bin] == nil {
+			w := newBinomWeights(m.k, s)
+			m.mids[bin] = &w
+		}
+		return point{s: s, w: m.mids[bin]}
+	}
+	key := math.Float64bits(s)
+	w, ok := m.clipped[key]
+	if !ok {
+		bw := newBinomWeights(m.k, s)
+		w = &bw
+		m.clipped[key] = w
+	}
+	return point{s: s, w: w}
+}
 
 // FalsePositives returns the expected number (unnormalized mass) of sets
 // erroneously captured by an FI at sigma with l tables (Definition 6): for
 // an SFI the mass below sigma that collides anyway, for a DFI the mass
 // above sigma.
 func (m *Model) FalsePositives(kind filter.Kind, sigma float64, l int) float64 {
-	cap := func(s float64) float64 { return Capture(kind, sigma, l, m.k, s) }
+	c := m.curve(kind, sigma, l)
+	hit := func(pt point) float64 { return m.capture(c, pt) }
 	if kind == filter.Dissimilar {
-		return m.hist.Integrate(sigma, 1, cap)
+		return m.integrate(sigma, 1, hit)
 	}
-	return m.hist.Integrate(0, sigma, cap)
+	return m.integrate(0, sigma, hit)
 }
 
 // FalseNegatives returns the expected mass of sets the FI should capture
 // but misses (Definition 7).
 func (m *Model) FalseNegatives(kind filter.Kind, sigma float64, l int) float64 {
-	miss := func(s float64) float64 { return 1 - Capture(kind, sigma, l, m.k, s) }
+	c := m.curve(kind, sigma, l)
+	miss := func(pt point) float64 { return 1 - m.capture(c, pt) }
 	if kind == filter.Dissimilar {
-		return m.hist.Integrate(0, sigma, miss)
+		return m.integrate(0, sigma, miss)
 	}
-	return m.hist.Integrate(sigma, 1, miss)
+	return m.integrate(sigma, 1, miss)
 }
 
 // Error returns FalsePositives + FalseNegatives — the quantity the greedy
@@ -456,6 +632,12 @@ func PlanRuns() int64 { return planRuns.Load() }
 // similarity distribution hist.
 func BuildPlan(hist *simdist.Histogram, opt Options) (Plan, error) {
 	planRuns.Add(1)
+	return NewModelK(hist, opt.SignatureK).buildPlan(opt)
+}
+
+// buildPlan is BuildPlan over the model's distribution; opt.SignatureK
+// must equal the model's k.
+func (m *Model) buildPlan(opt Options) (Plan, error) {
 	if opt.Budget < 2 {
 		return Plan{}, fmt.Errorf("optimize: budget must be >= 2 (the minimal plan has an SFI and a DFI), got %d", opt.Budget)
 	}
@@ -470,12 +652,7 @@ func BuildPlan(hist *simdist.Histogram, opt Options) (Plan, error) {
 	if maxFIs <= 0 {
 		maxFIs = 16
 	}
-	answerFrac := opt.AnswerFrac
-	if answerFrac <= 0 {
-		answerFrac = 0.01
-	}
-	m := NewModelK(hist, opt.SignatureK)
-	delta := hist.Delta()
+	delta := m.hist.Delta()
 
 	// Grow the number of intervals and keep the finest decomposition whose
 	// expected recall still clears the target: precision improves with
@@ -485,26 +662,15 @@ func BuildPlan(hist *simdist.Histogram, opt Options) (Plan, error) {
 	// failure.
 	var best, fallback *Plan
 	for n := 1; n <= maxFIs; n++ {
-		cuts := cutsFor(hist, n, opt.Placement)
+		cuts := cutsFor(m.hist, n, opt.Placement)
 		fis := pointKinds(cuts, delta)
 		if opt.Budget < len(fis) {
 			break // cannot give each FI a table
 		}
-		var alloc []int
-		var err error
-		if opt.Allocation == UniformTables {
-			alloc, err = UniformAllocate(len(fis), opt.Budget)
-		} else {
-			alloc, err = m.GreedyAllocate(fis, opt.Budget)
-		}
-		if err != nil {
+		if err := m.allocate(fis, opt); err != nil {
 			return Plan{}, err
 		}
-		for i := range fis {
-			fis[i].Tables = alloc[i]
-			fis[i].R = solveR(fis[i].Kind, fis[i].Point, alloc[i])
-		}
-		plan := assemble(hist, cuts, fis, delta, opt.Budget, target, answerFrac, opt.Objective, opt.SignatureK)
+		plan := m.assemble(cuts, fis, delta, target, opt)
 		if plan.guardedRecall(opt.Objective) >= target {
 			best = &plan
 		}
@@ -534,10 +700,6 @@ func BuildPlanFixedIntervals(hist *simdist.Histogram, n int, opt Options) (Plan,
 	if n < 1 {
 		return Plan{}, fmt.Errorf("optimize: need at least 1 cut, got %d", n)
 	}
-	answerFrac := opt.AnswerFrac
-	if answerFrac <= 0 {
-		answerFrac = 0.01
-	}
 	m := NewModelK(hist, opt.SignatureK)
 	delta := hist.Delta()
 	cuts := cutsFor(hist, n, opt.Placement)
@@ -545,6 +707,15 @@ func BuildPlanFixedIntervals(hist *simdist.Histogram, n int, opt Options) (Plan,
 	if opt.Budget < len(fis) {
 		return Plan{}, fmt.Errorf("optimize: budget %d below one table per FI (%d FIs)", opt.Budget, len(fis))
 	}
+	if err := m.allocate(fis, opt); err != nil {
+		return Plan{}, err
+	}
+	return m.assemble(cuts, fis, delta, opt.RecallTarget, opt), nil
+}
+
+// allocate distributes opt.Budget tables over fis under opt.Allocation and
+// sets each FI's Tables and R.
+func (m *Model) allocate(fis []FI, opt Options) error {
 	var alloc []int
 	var err error
 	if opt.Allocation == UniformTables {
@@ -553,30 +724,36 @@ func BuildPlanFixedIntervals(hist *simdist.Histogram, n int, opt Options) (Plan,
 		alloc, err = m.GreedyAllocate(fis, opt.Budget)
 	}
 	if err != nil {
-		return Plan{}, err
+		return err
 	}
 	for i := range fis {
 		fis[i].Tables = alloc[i]
 		fis[i].R = solveR(fis[i].Kind, fis[i].Point, alloc[i])
 	}
-	return assemble(hist, cuts, fis, delta, opt.Budget, opt.RecallTarget, answerFrac, opt.Objective, opt.SignatureK), nil
+	return nil
 }
 
-// assemble computes interval expectations and packages a Plan.
-func assemble(hist *simdist.Histogram, cuts []float64, fis []FI, delta float64, budget int, target, answerFrac float64, objective RecallObjective, k int) Plan {
+// assemble computes interval expectations and packages a Plan for
+// opt.Budget tables, guarding recall against target.
+func (m *Model) assemble(cuts []float64, fis []FI, delta, target float64, opt Options) Plan {
+	hist := m.hist
 	plan := Plan{
 		Cuts:         cuts,
 		FIs:          fis,
 		Delta:        delta,
-		Budget:       budget,
+		Budget:       opt.Budget,
 		RecallTarget: target,
-		K:            k,
+		K:            m.k,
+	}
+	answerFrac := opt.AnswerFrac
+	if answerFrac <= 0 {
+		answerFrac = 0.01
 	}
 	answerMass := answerFrac * hist.Total()
 	bounds := append(append([]float64{0}, cuts...), 1)
 	worstR, worstP := 1.0, 1.0
 	for i := 0; i+1 < len(bounds); i++ {
-		st := intervalStats(hist, fis, bounds[i], bounds[i+1], answerMass, k)
+		st := m.intervalStats(fis, bounds[i], bounds[i+1], answerMass)
 		plan.Intervals = append(plan.Intervals, st)
 		if st.Mass > 0 && st.Precision < worstP {
 			worstP = st.Precision
@@ -601,9 +778,7 @@ func assemble(hist *simdist.Histogram, cuts []float64, fis []FI, delta float64, 
 				continue
 			}
 			elo, ehi := encloseIn(cuts, lo, hi)
-			got := hist.Integrate(lo, hi, func(s float64) float64 {
-				return captureCombined(fis, elo, ehi, s, k)
-			})
+			got := m.integrate(lo, hi, m.combined(combine(fis, elo, ehi)))
 			rec := got / mass
 			plan.Probes = append(plan.Probes, ProbeStats{Lo: lo, Hi: hi, Mass: mass, Recall: rec})
 			massSum += mass
@@ -619,7 +794,7 @@ func assemble(hist *simdist.Histogram, cuts []float64, fis []FI, delta float64, 
 		plan.AvgRecall = recallSum / massSum
 	}
 	plan.WorstPrecision = worstP
-	plan.RecallMet = plan.guardedRecall(objective) >= target
+	plan.RecallMet = plan.guardedRecall(opt.Objective) >= target
 	return plan
 }
 
@@ -666,9 +841,8 @@ func fiAt(fis []FI, p float64, kind filter.Kind) (FI, bool) {
 	return FI{}, false
 }
 
-// captureCombined returns the probability that a set at similarity s
-// survives the query-processing combination for the enclosing range
-// [lo, hi] (Section 4.3):
+// combination is the query-processing combination of Section 4.3 for an
+// enclosing range [lo, hi], as the FIs it reads:
 //
 //   - both endpoints in the DFI region: in DissimVector(hi) and not in
 //     DissimVector(lo) (DissimVector(0) is empty);
@@ -678,42 +852,86 @@ func fiAt(fis []FI, p float64, kind filter.Kind) (FI, bool) {
 //     (SimVector(δ) \ SimVector(hi)), where δ is the point carrying both
 //     kinds. Independence across the structures' samples is assumed for
 //     the union probability.
-func captureCombined(fis []FI, lo, hi float64, s float64, k int) float64 {
+//
+// Each "in A and not in B" is a pair of slots (A, B); the mixed case has
+// two pairs, DFI side first. An empty slot holds the zero FI, which
+// captures nothing. pairs is 0 when no FI can answer the range.
+type combination struct {
+	pairs int
+	slots [4]FI
+}
+
+// combine resolves the combination for the enclosing range [lo, hi].
+func combine(fis []FI, lo, hi float64) combination {
+	var c combination
 	hiDFI, hasHiDFI := fiAt(fis, hi, filter.Dissimilar)
 	loSFI, hasLoSFI := fiAt(fis, lo, filter.Similar)
 	switch {
 	case hasHiDFI:
-		pHi := Capture(filter.Dissimilar, hiDFI.Point, hiDFI.Tables, k, s)
-		pLo := 0.0
+		c.pairs = 1
+		c.slots[0] = hiDFI
 		if loDFI, ok := fiAt(fis, lo, filter.Dissimilar); ok && lo > 0 {
-			pLo = Capture(filter.Dissimilar, loDFI.Point, loDFI.Tables, k, s)
+			c.slots[1] = loDFI
 		}
-		return pHi * (1 - pLo)
 	case hasLoSFI:
-		pLo := Capture(filter.Similar, loSFI.Point, loSFI.Tables, k, s)
-		pHi := 0.0
+		c.pairs = 1
+		c.slots[0] = loSFI
 		if hiSFI, ok := fiAt(fis, hi, filter.Similar); ok && hi < 1 {
-			pHi = Capture(filter.Similar, hiSFI.Point, hiSFI.Tables, k, s)
+			c.slots[1] = hiSFI
 		}
-		return pLo * (1 - pHi)
 	default:
 		// Mixed range spanning the δ point, or the degenerate [0, 1] range:
 		// combine around the both-kinds point.
 		dPoint, ok := bothKindsPoint(fis)
 		if !ok {
-			return 0
+			return c
 		}
-		dDFI, _ := fiAt(fis, dPoint, filter.Dissimilar)
-		dSFI, _ := fiAt(fis, dPoint, filter.Similar)
-		capD := Capture(filter.Dissimilar, dDFI.Point, dDFI.Tables, k, s)
+		c.pairs = 2
+		c.slots[0], _ = fiAt(fis, dPoint, filter.Dissimilar)
 		if loDFI, ok := fiAt(fis, lo, filter.Dissimilar); ok && lo > 0 {
-			capD *= 1 - Capture(filter.Dissimilar, loDFI.Point, loDFI.Tables, k, s)
+			c.slots[1] = loDFI
 		}
-		capS := Capture(filter.Similar, dSFI.Point, dSFI.Tables, k, s)
+		c.slots[2], _ = fiAt(fis, dPoint, filter.Similar)
 		if hiSFI, ok := fiAt(fis, hi, filter.Similar); ok && hi < 1 {
-			capS *= 1 - Capture(filter.Similar, hiSFI.Point, hiSFI.Tables, k, s)
+			c.slots[3] = hiSFI
 		}
-		return capD + capS - capD*capS
+	}
+	return c
+}
+
+// eval returns the combined capture probability given capture(i), the
+// capture probability of slot i.
+func (c *combination) eval(capture func(slot int) float64) float64 {
+	if c.pairs == 0 {
+		return 0
+	}
+	x := capture(0) * (1 - capture(1))
+	if c.pairs == 1 {
+		return x
+	}
+	y := capture(2) * (1 - capture(3))
+	return x + y - x*y
+}
+
+// captureCombined returns the probability that a set at similarity s
+// survives the combination for the enclosing range [lo, hi].
+func captureCombined(fis []FI, lo, hi float64, s float64, k int) float64 {
+	c := combine(fis, lo, hi)
+	return c.eval(func(slot int) float64 {
+		fi := c.slots[slot]
+		return Capture(fi.Kind, fi.Point, fi.Tables, k, s)
+	})
+}
+
+// combined returns captureCombined for c as an integrand over the model's
+// evaluation points, with each slot's curve resolved once.
+func (m *Model) combined(c combination) func(pt point) float64 {
+	var curves [4]*curve
+	for i, fi := range c.slots {
+		curves[i] = m.curve(fi.Kind, fi.Point, fi.Tables)
+	}
+	return func(pt point) float64 {
+		return c.eval(func(slot int) float64 { return m.capture(curves[slot], pt) })
 	}
 }
 
@@ -732,12 +950,12 @@ func bothKindsPoint(fis []FI) (float64, bool) {
 
 // intervalStats computes expected recall (Def 8) and precision (Def 9) for
 // a query of the reference answer mass inside the interval [lo, hi].
-func intervalStats(hist *simdist.Histogram, fis []FI, lo, hi float64, answerMass float64, k int) IntervalStats {
-	mass := hist.Mass(lo, hi)
-	capture := func(s float64) float64 { return captureCombined(fis, lo, hi, s, k) }
-	trueCaptured := hist.Integrate(lo, hi, capture)
-	extraBelow := hist.Integrate(0, lo, capture)
-	extraAbove := hist.Integrate(hi, 1, capture)
+func (m *Model) intervalStats(fis []FI, lo, hi float64, answerMass float64) IntervalStats {
+	mass := m.hist.Mass(lo, hi)
+	capture := m.combined(combine(fis, lo, hi))
+	trueCaptured := m.integrate(lo, hi, capture)
+	extraBelow := m.integrate(0, lo, capture)
+	extraAbove := m.integrate(hi, 1, capture)
 	st := IntervalStats{Lo: lo, Hi: hi, Mass: mass}
 	if mass > 0 {
 		st.Recall = trueCaptured / mass
@@ -771,10 +989,8 @@ func (p *Plan) ExpectedRecall(hist *simdist.Histogram, a, b float64) float64 {
 	if mass == 0 {
 		return 1
 	}
-	got := hist.Integrate(a, b, func(s float64) float64 {
-		return captureCombined(p.FIs, lo, hi, s, p.K)
-	})
-	return got / mass
+	m := NewModelK(hist, p.K)
+	return m.integrate(a, b, m.combined(combine(p.FIs, lo, hi))) / mass
 }
 
 // CaptureAt returns the probability that a set at Jaccard similarity s is
@@ -786,15 +1002,4 @@ func (p *Plan) CaptureAt(lo, hi, s float64) float64 {
 }
 
 // Enclose returns the partition points minimally enclosing [a, b].
-func (p *Plan) Enclose(a, b float64) (lo, hi float64) {
-	lo, hi = 0.0, 1.0
-	for _, c := range p.Cuts {
-		if c <= a && c > lo {
-			lo = c
-		}
-		if c >= b && c < hi {
-			hi = c
-		}
-	}
-	return lo, hi
-}
+func (p *Plan) Enclose(a, b float64) (lo, hi float64) { return encloseIn(p.Cuts, a, b) }

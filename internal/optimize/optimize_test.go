@@ -273,7 +273,7 @@ func TestLemma3FewerIntervalsHigherRecall(t *testing.T) {
 		for i := range fis {
 			fis[i].Tables = alloc[i]
 		}
-		return assemble(hist, cuts, fis, hist.Delta(), 60, 0.5, 0.01, WorstCaseRecall, 0).WorstRecall
+		return m.assemble(cuts, fis, hist.Delta(), 0.5, Options{Budget: 60, AnswerFrac: 0.01, Objective: WorstCaseRecall}).WorstRecall
 	}
 	if w1, w4 := worst(1), worst(6); w1 < w4-0.05 {
 		t.Errorf("1-cut worst recall %.3f below 6-cut %.3f (Lemma 3 shape violated)", w1, w4)
@@ -343,7 +343,7 @@ func TestExpectedRecallInRange(t *testing.T) {
 func TestIntervalStatsEmptyInterval(t *testing.T) {
 	h := simdist.NewHistogram(10)
 	h.Add(0.05, 5)
-	st := intervalStats(h, []FI{{Point: 0.5, Kind: filter.Similar, Tables: 4}}, 0.5, 0.9, 0.01, 0)
+	st := NewModel(h).intervalStats([]FI{{Point: 0.5, Kind: filter.Similar, Tables: 4}}, 0.5, 0.9, 0.01)
 	if st.Recall != 1 || st.Mass != 0 || st.Precision != 1 {
 		t.Errorf("empty interval stats = %+v", st)
 	}
@@ -365,7 +365,7 @@ func TestLemma5MoreIntervalsBetterPrecision(t *testing.T) {
 		for i := range fis {
 			fis[i].Tables = alloc[i]
 		}
-		return assemble(hist, cuts, fis, hist.Delta(), 60, 0.5, 0.01, WorstCaseRecall, 0).WorstPrecision
+		return m.assemble(cuts, fis, hist.Delta(), 0.5, Options{Budget: 60, AnswerFrac: 0.01, Objective: WorstCaseRecall}).WorstPrecision
 	}
 	if p1, p6 := worstP(1), worstP(6); p6 <= p1 {
 		t.Errorf("worst precision did not improve with intervals: %g (1 cut) vs %g (6 cuts)", p1, p6)
@@ -400,6 +400,17 @@ func TestCaptureCombinedCases(t *testing.T) {
 			}
 		}
 	}
+}
+
+// binomialAverage returns E[f(A)] for A ~ Binomial(k, p) through the
+// capture model's truncated weights.
+func binomialAverage(k int, p float64, f func(a int) float64) float64 {
+	w := newBinomWeights(k, p)
+	vals := make([]float64, k+1)
+	for a := range vals {
+		vals[a] = f(a)
+	}
+	return w.average(vals)
 }
 
 func TestBinomialAverageMatchesBruteForce(t *testing.T) {

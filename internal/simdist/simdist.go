@@ -86,6 +86,15 @@ func (h *Histogram) Mass(a, b float64) float64 {
 // evaluating f at each overlapped bin's midpoint. This is how the expected
 // false positive/negative integrals of Definitions 6 and 7 are realized.
 func (h *Histogram) Integrate(a, b float64, f func(s float64) float64) float64 {
+	return h.IntegrateBins(a, b, func(_ int, _ bool, s float64) float64 { return f(s) })
+}
+
+// IntegrateBins is Integrate with f also told which bin it samples and
+// whether that bin lies wholly inside [a, b]. For a whole bin, s is the
+// bin's midpoint (the point Tabulate samples), so a caller can key
+// per-point work by bin; a bin cut by a or b is sampled at the midpoint of
+// its clipped part instead.
+func (h *Histogram) IntegrateBins(a, b float64, f func(bin int, whole bool, s float64) float64) float64 {
 	if a > b {
 		return 0
 	}
@@ -107,7 +116,7 @@ func (h *Histogram) Integrate(a, b float64, f func(s float64) float64) float64 {
 		}
 		cLo, cHi := maxf(lo, a), minf(hi, b)
 		mid := (cLo + cHi) / 2
-		sum += f(mid) * w * (cHi - cLo) * n
+		sum += f(i, a <= lo && hi <= b, mid) * w * (cHi - cLo) * n
 	}
 	return sum
 }
